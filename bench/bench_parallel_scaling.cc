@@ -2,9 +2,9 @@
 // enumeration, centralized matching and the LEC pruning and assembly
 // joins at 1/2/4/8 worker slots (same LUBM-3/LQ7 fixture as
 // bench_micro_core, plus the join-heavy LQ1 triangle for the join rows),
-// and indexed vs all-pairs group join graph construction — over LPMs for
-// assembly and over LEC features for pruning — with the probe counts
-// surfaced as benchmark counters.
+// and the indexed group join graph construction — over LPMs for assembly
+// and over LEC features for pruning — with the probe counts surfaced as
+// benchmark counters.
 //
 // The thread counts request worker *slots*; on a machine with fewer cores
 // the pool still exercises the parallel code path but cannot show wall-clock
@@ -21,6 +21,7 @@
 
 #include "core/assembly.h"
 #include "core/engine.h"
+#include "core/join_graph.h"
 #include "core/lec_feature.h"
 #include "core/local_partial_match.h"
 #include "core/pruning.h"
@@ -57,7 +58,7 @@ struct ScalingFixture {
           EnumerateLocalPartialMatches(f, *stores.back(), rq_lq1);
       lpms_lq1.insert(lpms_lq1.end(), lq1_lpms.begin(), lq1_lpms.end());
     }
-    groups = GroupLpmsBySign(lpms);
+    groups = GroupBySign(lpms);
     features = ComputeLecFeatures(lpms);
     features_lq1 = ComputeLecFeatures(lpms_lq1);
   }
@@ -123,21 +124,6 @@ void BM_GroupJoinGraphIndexed(benchmark::State& state) {
   state.counters["groups"] = static_cast<double>(f.groups.size());
 }
 BENCHMARK(BM_GroupJoinGraphIndexed);
-
-void BM_GroupJoinGraphAllPairs(benchmark::State& state) {
-  ScalingFixture& f = Fixture();
-  AssemblyStats stats;
-  for (auto _ : state) {
-    stats = AssemblyStats();
-    auto adjacency = BuildGroupJoinGraphAllPairs(f.lpms, f.groups, &stats);
-    benchmark::DoNotOptimize(adjacency);
-  }
-  state.counters["join_attempts"] =
-      static_cast<double>(stats.join_attempts);
-  state.counters["edges"] = static_cast<double>(stats.num_join_graph_edges);
-  state.counters["groups"] = static_cast<double>(f.groups.size());
-}
-BENCHMARK(BM_GroupJoinGraphAllPairs);
 
 void BM_LecAssemblyIndexed(benchmark::State& state) {
   ScalingFixture& f = Fixture();
@@ -218,18 +204,13 @@ void BM_LecPruningThreadsLQ1(benchmark::State& state) {
 }
 BENCHMARK(BM_LecPruningThreadsLQ1)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-/// Serial pruning with the indexed vs all-pairs group join graph; the
-/// join_attempts counters surface the probe reduction of the crossing-
-/// mapping inverted index (the expansion-phase probes are identical, so
-/// the delta is exactly the graph-construction saving).
-void RunLecPruningGraphMode(benchmark::State& state, bool indexed) {
+/// Serial pruning through the indexed group join graph; the join_attempts
+/// counter covers graph construction plus chain expansion.
+void BM_LecPruningIndexedGraph(benchmark::State& state) {
   ScalingFixture& f = Fixture();
-  PruneOptions options;
-  options.use_indexed_join_graph = indexed;
   PruneResult prune;
   for (auto _ : state) {
-    prune =
-        LecFeaturePruning(f.features.features, f.query.num_vertices(), options);
+    prune = LecFeaturePruning(f.features.features, f.query.num_vertices());
     benchmark::DoNotOptimize(prune);
   }
   state.counters["join_attempts"] = static_cast<double>(prune.join_attempts);
@@ -237,16 +218,7 @@ void RunLecPruningGraphMode(benchmark::State& state, bool indexed) {
       static_cast<double>(prune.num_join_graph_edges);
   state.counters["groups"] = static_cast<double>(prune.num_groups);
 }
-
-void BM_LecPruningIndexedGraph(benchmark::State& state) {
-  RunLecPruningGraphMode(state, /*indexed=*/true);
-}
 BENCHMARK(BM_LecPruningIndexedGraph);
-
-void BM_LecPruningAllPairsGraph(benchmark::State& state) {
-  RunLecPruningGraphMode(state, /*indexed=*/false);
-}
-BENCHMARK(BM_LecPruningAllPairsGraph);
 
 void BM_FullEngineExecuteThreads(benchmark::State& state) {
   ScalingFixture& f = Fixture();
@@ -308,19 +280,15 @@ void BM_FullEngineFaultyLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_FullEngineFaultyLatency)->Arg(5)->Arg(50);
 
-/// Streaming-vs-drained end-to-end rows (PR 8). Args are {latency_mean_ms,
-/// streaming}: the no-fault streaming row must sit within noise of the
-/// drained BM_FullEngineExecuteThreads row (pipelining costs nothing when
-/// nothing straggles), while under 50ms injected latency with a straggler
-/// site and a stage deadline below the latency mean, the streaming row must
-/// beat the drained row — the drained path re-invokes every site's work per
-/// retry and per hedge, where StageStream re-ships its buffered bytes. The
-/// {50, 0} drained row is the comparison denominator; CI gates the ratio
-/// (see bench/check_bench_regression.py).
+/// End-to-end engine rows over the per-site stage executor. Arg is the
+/// injected latency mean in ms: the no-fault /0 row is CI-gated on absolute
+/// cpu_time (stage delivery must stay free when nothing is retried); /50
+/// adds a straggler site and a stage deadline below the latency mean, so
+/// most sites blow at least one deadline and the retry path (re-shipping
+/// the buffered bytes) dominates.
 void BM_FullEnginePipelined(benchmark::State& state) {
   ScalingFixture& f = Fixture();
   const double latency = static_cast<double>(state.range(0));
-  const bool streaming = state.range(1) != 0;
   EngineOptions options;
   if (latency > 0.0) {
     options.fault_plan.seed = 20260808;
@@ -331,8 +299,7 @@ void BM_FullEnginePipelined(benchmark::State& state) {
     options.fault_plan.default_fault.duplicate_prob = 0.05;
     options.fault_plan.site_overrides[1].straggler = true;
     // Deadline below the latency mean: most sites blow at least one
-    // deadline, so the retry path dominates and the re-ship-vs-recompute
-    // difference is what the row measures.
+    // deadline, so the retry path dominates.
     options.stage_deadline_ms = latency * 0.4;
     options.max_attempts = 8;
   }
@@ -341,9 +308,7 @@ void BM_FullEnginePipelined(benchmark::State& state) {
   size_t hedged = 0;
   bool exact = true;
   for (auto _ : state) {
-    QueryRequest request(f.query, EngineMode::kFull);
-    request.streaming = streaming;
-    auto outcome = engine.Run(request);
+    auto outcome = engine.Run({f.query, EngineMode::kFull});
     benchmark::DoNotOptimize(outcome);
     retries += outcome.stats.transport_retries;
     hedged += outcome.stats.hedged_sites;
@@ -352,12 +317,8 @@ void BM_FullEnginePipelined(benchmark::State& state) {
   state.counters["retries"] = static_cast<double>(retries);
   state.counters["hedged"] = static_cast<double>(hedged);
   state.counters["exact"] = exact ? 1.0 : 0.0;
-  state.counters["streaming"] = streaming ? 1.0 : 0.0;
 }
-BENCHMARK(BM_FullEnginePipelined)
-    ->Args({0, 1})    // no faults, streaming: must match the drained row
-    ->Args({50, 1})   // straggler + tight deadlines, streaming
-    ->Args({50, 0});  // same plan, drained: the speedup denominator
+BENCHMARK(BM_FullEnginePipelined)->Arg(0)->Arg(50);
 
 }  // namespace
 }  // namespace gstored

@@ -6,10 +6,11 @@
 // Usage:
 //   gstored_shell --data FILE.nt|lubm|yago|btc [--sites N]
 //                 [--strategy hash|semantic|metis|multilevel]
-//                 [--mode basic|la|lo|full] [--threads N] [--streaming]
+//                 [--mode basic|la|lo|full] [--threads N]
 //                 [QUERY]
 // With no QUERY argument, reads one query per line from stdin (';' also
-// separates queries). Prints rows plus the per-stage statistics.
+// separates queries; a query left unterminated at end of input still runs).
+// Prints the result rows. A malformed flag prints the usage and exits 2.
 
 #include <cstdio>
 #include <cstring>
@@ -32,28 +33,53 @@ namespace {
 
 using namespace gstored;  // NOLINT — example brevity
 
+constexpr char kUsage[] =
+    "usage: %s --data FILE.nt|lubm|yago|btc [--sites N] "
+    "[--strategy hash|semantic|metis|multilevel] "
+    "[--mode basic|la|lo|full] [--threads N] [QUERY]\n";
+
+/// Returns the partitioner named `name`, or nullptr for an unknown name.
 std::unique_ptr<Partitioner> MakePartitioner(const std::string& name) {
+  if (name == "hash") return std::make_unique<HashPartitioner>();
   if (name == "semantic") return std::make_unique<SemanticHashPartitioner>();
   if (name == "metis") return std::make_unique<MetisLikePartitioner>();
   if (name == "multilevel") return std::make_unique<MultilevelPartitioner>();
-  return std::make_unique<HashPartitioner>();
+  return nullptr;
 }
 
-EngineMode ParseMode(const std::string& name) {
-  if (name == "basic") return EngineMode::kBasic;
-  if (name == "la") return EngineMode::kLecAssembly;
-  if (name == "lo") return EngineMode::kLecPruning;
-  return EngineMode::kFull;
+bool ParseMode(const std::string& name, EngineMode* mode) {
+  if (name == "basic") *mode = EngineMode::kBasic;
+  else if (name == "la") *mode = EngineMode::kLecAssembly;
+  else if (name == "lo") *mode = EngineMode::kLecPruning;
+  else if (name == "full") *mode = EngineMode::kFull;
+  else return false;
+  return true;
+}
+
+/// Every stage runs one thread per site, so the site count is capped.
+constexpr size_t kMaxSites = 256;
+constexpr size_t kMaxThreads = 4096;
+
+/// Parses a whole decimal count in [1, max]; false on anything else.
+bool ParseCount(const std::string& text, size_t max, size_t* out) {
+  if (text.empty() || text.size() > 9 ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  size_t value = std::stoul(text);
+  if (value == 0 || value > max) return false;
+  *out = value;
+  return true;
 }
 
 void RunQuery(DistributedEngine& engine, const TermDict& dict,
-              const std::string& text, EngineMode mode, bool streaming) {
+              const std::string& text, EngineMode mode) {
   Result<CompoundQuery> query = ParseCompoundSparql(text);
   if (!query.ok()) {
     std::printf("parse error: %s\n", query.status().ToString().c_str());
     return;
   }
-  CompoundResult result = ExecuteCompound(engine, *query, mode, streaming);
+  CompoundResult result = ExecuteCompound(engine, *query, mode);
   for (size_t c = 0; c < result.columns.size(); ++c) {
     std::printf("%s%s", c ? "\t" : "", result.columns[c].c_str());
   }
@@ -72,32 +98,54 @@ void RunQuery(DistributedEngine& engine, const TermDict& dict,
 
 int main(int argc, char** argv) {
   std::string data = "lubm";
-  std::string strategy = "hash";
-  std::string mode_name = "full";
-  int sites = 6;
+  size_t sites = 6;
   size_t threads = 1;
-  bool streaming = false;
+  std::unique_ptr<Partitioner> partitioner = MakePartitioner("hash");
+  EngineMode mode = EngineMode::kFull;
   std::string inline_query;
+  auto usage_error = [&](const std::string& why) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], why.c_str());
+    std::fprintf(stderr, kUsage, argv[0]);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      return (i + 1 < argc) ? argv[++i] : "";
-    };
-    if (arg == "--data") data = next();
-    else if (arg == "--sites") sites = std::stoi(next());
-    else if (arg == "--strategy") strategy = next();
-    else if (arg == "--mode") mode_name = next();
-    else if (arg == "--threads") threads = std::stoul(next());
-    else if (arg == "--streaming") streaming = true;
-    else if (arg == "--help") {
-      std::printf("usage: %s --data FILE.nt|lubm|yago|btc [--sites N] "
-                  "[--strategy hash|semantic|metis|multilevel] "
-                  "[--mode basic|la|lo|full] [--threads N] [--streaming] "
-                  "[QUERY]\n",
-                  argv[0]);
+    const std::string arg = argv[i];
+    if (arg == "--help") {
+      std::printf(kUsage, argv[0]);
       return 0;
-    } else {
+    }
+    if (arg.rfind("--", 0) != 0) {
+      if (!inline_query.empty()) return usage_error("more than one QUERY");
       inline_query = arg;
+      continue;
+    }
+    if (arg != "--data" && arg != "--sites" && arg != "--threads" &&
+        arg != "--strategy" && arg != "--mode") {
+      return usage_error("unknown flag " + arg);
+    }
+    if (i + 1 >= argc) return usage_error(arg + " needs a value");
+    const std::string value = argv[++i];
+    if (arg == "--data") {
+      data = value;
+    } else if (arg == "--sites") {
+      if (!ParseCount(value, kMaxSites, &sites)) {
+        return usage_error("--sites wants a count in [1, " +
+                           std::to_string(kMaxSites) + "], got '" + value +
+                           "'");
+      }
+    } else if (arg == "--threads") {
+      if (!ParseCount(value, kMaxThreads, &threads)) {
+        return usage_error("--threads wants a count in [1, " +
+                           std::to_string(kMaxThreads) + "], got '" + value +
+                           "'");
+      }
+    } else if (arg == "--strategy") {
+      partitioner = MakePartitioner(value);
+      if (partitioner == nullptr) {
+        return usage_error("unknown --strategy '" + value + "'");
+      }
+    } else if (!ParseMode(value, &mode)) {  // --mode
+      return usage_error("unknown --mode '" + value + "'");
     }
   }
 
@@ -133,17 +181,16 @@ int main(int argc, char** argv) {
               dataset.graph().num_triples(), dataset.graph().num_vertices());
 
   Partitioning partitioning =
-      MakePartitioner(strategy)->Partition(dataset, sites);
-  std::printf("%s partitioning over %d sites: %zu crossing edges\n",
+      partitioner->Partition(dataset, static_cast<int>(sites));
+  std::printf("%s partitioning over %zu sites: %zu crossing edges\n",
               partitioning.strategy_name().c_str(), sites,
               partitioning.num_crossing_edges());
   EngineOptions engine_options;
   engine_options.num_threads = threads;
   DistributedEngine engine(&partitioning, engine_options);
-  EngineMode mode = ParseMode(mode_name);
 
   if (!inline_query.empty()) {
-    RunQuery(engine, dataset.dict(), inline_query, mode, streaming);
+    RunQuery(engine, dataset.dict(), inline_query, mode);
     return 0;
   }
   std::printf("enter SPARQL queries (one per line, ';' also separates; "
@@ -156,15 +203,21 @@ int main(int argc, char** argv) {
     while ((semi = pending.find(';')) != std::string::npos) {
       std::string one = pending.substr(0, semi);
       pending = pending.substr(semi + 1);
-      if (!one.empty()) RunQuery(engine, dataset.dict(), one, mode, streaming);
+      if (!one.empty()) RunQuery(engine, dataset.dict(), one, mode);
     }
     if (!pending.empty() && pending.find('{') != std::string::npos &&
         pending.rfind('}') != std::string::npos &&
         pending.rfind('}') > pending.find('{')) {
-      RunQuery(engine, dataset.dict(), pending, mode, streaming);
+      RunQuery(engine, dataset.dict(), pending, mode);
       pending.clear();
     }
     std::printf("> ");
+  }
+  // A query still pending at end of input (no ';' and no closing brace yet)
+  // runs anyway, so a malformed one reports its parse error.
+  if (pending.find_first_not_of(" \t\r") != std::string::npos) {
+    std::printf("\n");
+    RunQuery(engine, dataset.dict(), pending, mode);
   }
   return 0;
 }

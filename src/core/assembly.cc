@@ -194,47 +194,11 @@ bool MergeBindings(const Binding& a, const Binding& b, Binding* out) {
   return true;
 }
 
-std::vector<std::vector<uint32_t>> GroupLpmsBySign(
-    const std::vector<LocalPartialMatch>& lpms) {
-  std::vector<std::vector<uint32_t>> groups;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> sign_buckets;
-  std::vector<Bitset> group_signs;
-  for (uint32_t i = 0; i < lpms.size(); ++i) {
-    uint64_t h = lpms[i].sign.Hash();
-    bool placed = false;
-    for (uint32_t g : sign_buckets[h]) {
-      if (group_signs[g] == lpms[i].sign) {
-        groups[g].push_back(i);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      sign_buckets[h].push_back(static_cast<uint32_t>(groups.size()));
-      group_signs.push_back(lpms[i].sign);
-      groups.push_back({i});
-    }
-  }
-  return groups;
-}
-
 std::vector<std::vector<uint32_t>> BuildGroupJoinGraph(
     const std::vector<LocalPartialMatch>& lpms,
     const std::vector<std::vector<uint32_t>>& groups, AssemblyStats* stats) {
   JoinGraphStats jg;
   auto adjacency = BuildJoinGraphIndexed(lpms, groups, &jg);
-  if (stats != nullptr) {
-    stats->join_attempts += jg.join_attempts;
-    stats->num_join_graph_edges += jg.num_edges;
-  }
-  return adjacency;
-}
-
-std::vector<std::vector<uint32_t>> BuildGroupJoinGraphAllPairs(
-    const std::vector<LocalPartialMatch>& lpms,
-    const std::vector<std::vector<uint32_t>>& groups, AssemblyStats* stats) {
-  JoinGraphStats jg;
-  auto adjacency = BuildJoinGraphAllPairs(lpms, groups, &jg);
   if (stats != nullptr) {
     stats->join_attempts += jg.join_attempts;
     stats->num_join_graph_edges += jg.num_edges;
@@ -260,7 +224,7 @@ std::vector<Binding> LecAssembly(const std::vector<LocalPartialMatch>& lpms,
 
   // Def. 11: group LPMs by LECSign, then link groups through the
   // crossing-mapping index instead of all-pairs probing.
-  ctx.groups = GroupLpmsBySign(lpms);
+  ctx.groups = GroupBySign(lpms);
   stats->num_groups = ctx.groups.size();
   ctx.adjacency = BuildGroupJoinGraph(lpms, ctx.groups, stats);
 

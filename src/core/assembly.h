@@ -26,12 +26,8 @@ struct AssemblyStats {
 /// vertex bound to different graph vertices). Exposed for testing.
 bool MergeBindings(const Binding& a, const Binding& b, Binding* out);
 
-/// Def. 11: partitions LPM indices into groups of identical LECSign, in
-/// first-appearance order. Exposed for the group join graph builders below.
-std::vector<std::vector<uint32_t>> GroupLpmsBySign(
-    const std::vector<LocalPartialMatch>& lpms);
-
-/// Builds the group join graph — an edge between two LECSign groups when
+/// Builds the group join graph over LPM groups (GroupBySign in
+/// core/join_graph.h) — an edge between two LECSign groups when
 /// some cross-group LPM pair has joinable features — via an inverted index
 /// from crossing-edge mapping to the (group, LPM) entries carrying it.
 /// Def. 9 condition 2 makes a shared crossing mapping necessary for
@@ -41,14 +37,6 @@ std::vector<std::vector<uint32_t>> GroupLpmsBySign(
 /// counted in stats->join_attempts; adjacency lists come back sorted and the
 /// construction is deterministic (the index is scanned in sorted order).
 std::vector<std::vector<uint32_t>> BuildGroupJoinGraph(
-    const std::vector<LocalPartialMatch>& lpms,
-    const std::vector<std::vector<uint32_t>>& groups,
-    AssemblyStats* stats = nullptr);
-
-/// Reference all-pairs construction of the same graph (the pre-index O(G²)
-/// behavior). Kept for the equivalence test and as the comparison bar of the
-/// parallel-scaling benchmark.
-std::vector<std::vector<uint32_t>> BuildGroupJoinGraphAllPairs(
     const std::vector<LocalPartialMatch>& lpms,
     const std::vector<std::vector<uint32_t>>& groups,
     AssemblyStats* stats = nullptr);

@@ -45,15 +45,9 @@ CandidateExchange ExchangeInternalCandidates(
   // lost to faults simply contribute zero to the sum: the skip decision gets
   // less evidence, never less soundness.
   if (options.use_statistics && variable_count > 0) {
-    // Decoded estimate vectors are staged per site and summed in site index
-    // order after the stage: floating-point addition is not associative, so
-    // folding on arrival would let thread scheduling perturb the sums and
-    // with them the skip decision, the shipped bytes and the ledger.
-    std::vector<std::vector<std::vector<double>>> site_estimates(num_sites);
-    StageResult est = RunStageConsuming(
-        net, options.streaming, StageOrdinal(QueryStage::kCandidateEstimates),
-        stage_id, options.policy,
-        [&](int site) {
+    StageResult est = net.ExecuteStage(
+        StageOrdinal(QueryStage::kCandidateEstimates), stage_id,
+        options.policy, [&](int site) {
           SelectivityEstimator estimator(&stores[site]->stats(), &rq);
           std::vector<double> estimates(n, 0.0);
           for (QVertexId v = 0; v < n; ++v) {
@@ -62,24 +56,21 @@ CandidateExchange ExchangeInternalCandidates(
           }
           return std::vector<WireMessage>{MakeMessage(
               MessageType::kCandidateEstimates, EncodeEstimates(estimates))};
-        },
-        [&](int site, std::vector<WireMessage> msgs) {
-          for (const WireMessage& msg : msgs) {
-            if (msg.type != MessageType::kCandidateEstimates) continue;
-            Result<std::vector<double>> decoded = DecodeEstimates(msg.payload);
-            if (!decoded.ok() || decoded.value().size() != n) continue;
-            site_estimates[site].push_back(std::move(decoded.value()));
-          }
         });
     result.stage_millis += est.run.max_millis;
     result.transport_retries += est.total_retries();
     result.hedged_sites += est.hedged_sites();
 
+    // Summed in site order: floating-point addition is not associative, so
+    // a fixed order keeps the skip decision, the shipped bytes and the
+    // ledger deterministic.
     std::vector<double> sums(n, 0.0);
     for (int site = 0; site < num_sites; ++site) {
-      if (!est.sites[site].ok) continue;
-      for (const std::vector<double>& estimates : site_estimates[site]) {
-        for (QVertexId v = 0; v < n; ++v) sums[v] += estimates[v];
+      for (const WireMessage& msg : est.messages[site]) {
+        if (msg.type != MessageType::kCandidateEstimates) continue;
+        Result<std::vector<double>> decoded = DecodeEstimates(msg.payload);
+        if (!decoded.ok() || decoded.value().size() != n) continue;
+        for (QVertexId v = 0; v < n; ++v) sums[v] += decoded.value()[v];
       }
     }
 
@@ -104,11 +95,6 @@ CandidateExchange ExchangeInternalCandidates(
   // ---- Site side of Alg. 4 (lines 10-15): compute internal candidates per
   // exchanged variable, fold them into the site's bit vectors, and ship the
   // filter set as one wire message. Constants are never inserted or shipped.
-  //
-  // The coordinator side (lines 1-8) runs in the consumer: bitwise OR is
-  // commutative, so each site's vectors are folded into the union the
-  // moment the site lands — under streaming, while slower sites are still
-  // hashing candidates — without any arrival-order effect on the union.
   auto make_filter_row = [&] {
     std::vector<BitvectorFilter> row;
     row.reserve(n);
@@ -118,11 +104,9 @@ CandidateExchange ExchangeInternalCandidates(
     return row;
   };
   result.filters = make_filter_row();
-  std::vector<uint8_t> site_lost(num_sites, 0);
 
-  StageResult filt = RunStageConsuming(
-      net, options.streaming, StageOrdinal(QueryStage::kCandidateFilters),
-      stage_id, options.policy,
+  StageResult filt = net.ExecuteStage(
+      StageOrdinal(QueryStage::kCandidateFilters), stage_id, options.policy,
       [&](int site) {
         const Fragment& fragment = partitioning.fragments()[site];
         FilterSet set;
@@ -139,37 +123,36 @@ CandidateExchange ExchangeInternalCandidates(
         }
         return std::vector<WireMessage>{
             MakeMessage(MessageType::kCandidateFilters, EncodeFilterSet(set))};
-      },
-      [&](int site, std::vector<WireMessage> msgs) {
-        for (const WireMessage& msg : msgs) {
-          if (msg.type != MessageType::kCandidateFilters) continue;
-          Result<FilterSet> decoded = DecodeFilterSet(msg.payload);
-          if (!decoded.ok()) {
-            site_lost[site] = 1;
-            break;
-          }
-          for (auto& [v, filter] : decoded.value()) {
-            if (v >= n || !result.exchanged[v]) continue;  // skipped/constant
-            if (filter.bits() != options.filter_bits) {
-              site_lost[site] = 1;
-              break;
-            }
-            result.filters[v].UnionWith(filter);
-          }
-          if (site_lost[site]) break;
-        }
       });
   result.stage_millis += filt.run.max_millis;
   result.transport_retries += filt.total_retries();
   result.hedged_sites += filt.hedged_sites();
 
-  // The union is only sound when every site contributed — a missing site's
-  // internal candidates would turn the one-sided error into false negatives
-  // — so any unrecovered site (or undecodable filter set) degrades the
-  // whole exchange to "no filters", discarding whatever was folded so far.
+  // The coordinator side (lines 1-8): OR every site's vectors into the
+  // union. The union is only sound when every site contributed — a missing
+  // site's internal candidates would turn the one-sided error into false
+  // negatives — so any unrecovered site (or undecodable filter set)
+  // degrades the whole exchange to "no filters", discarding whatever was
+  // folded so far.
   bool lost = !filt.complete();
-  for (int site = 0; site < num_sites; ++site) {
-    if (site_lost[site]) lost = true;
+  for (int site = 0; site < num_sites && !lost; ++site) {
+    for (const WireMessage& msg : filt.messages[site]) {
+      if (msg.type != MessageType::kCandidateFilters) continue;
+      Result<FilterSet> decoded = DecodeFilterSet(msg.payload);
+      if (!decoded.ok()) {
+        lost = true;
+        break;
+      }
+      for (auto& [v, filter] : decoded.value()) {
+        if (v >= n || !result.exchanged[v]) continue;  // skipped/constant
+        if (filter.bits() != options.filter_bits) {
+          lost = true;
+          break;
+        }
+        result.filters[v].UnionWith(filter);
+      }
+      if (lost) break;
+    }
   }
   if (lost) {
     result.degraded = true;

@@ -32,15 +32,6 @@ struct CandidateExchangeOptions {
 
   /// Deadline/retry/hedging policy for both exchange phases.
   StagePolicy policy;
-
-  /// Deliver both phases through Transport::StageStream: estimate vectors
-  /// are staged per site as they land (and summed in site order afterwards —
-  /// floating-point addition is not associative, so arrival-order folding
-  /// would let scheduling leak into the skip decision), while filter sets
-  /// are OR-folded into the union on arrival (bitwise OR is commutative, so
-  /// arrival order cannot change the union). Byte-identical results either
-  /// way.
-  bool streaming = false;
 };
 
 /// Result of Algorithm 4 ("assembling variables' internal candidates").

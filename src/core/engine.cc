@@ -44,11 +44,10 @@ DistributedEngine::DistributedEngine(const Partitioning* partitioning,
 
 namespace {
 
-/// Per-site computation cache: stage re-execution (retries, hedging) must be
-/// idempotent, so each site computes its matches/LPMs/features once per
-/// query and retransmissions re-ship the same data. Each entry is touched
-/// only by its own site's stage thread (attempts are sequenced by the
-/// transport's joins) or by the coordinator thread while hedging.
+/// Per-site computation cache: each site computes its matches/LPMs/features
+/// once per query, and the later stages reuse them. Each entry is touched
+/// only by its own site's stage thread; stages are sequenced by the
+/// transport's joins.
 struct SiteCache {
   bool computed = false;
   std::vector<Binding> matches;
@@ -87,7 +86,6 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   GSTORED_CHECK(ctx.ledger != nullptr && ctx.transport != nullptr);
   const QueryGraph& query = *request.query;
   const EngineMode mode = request.mode;
-  const bool streaming = request.streaming;
 
   QueryOutcome outcome;
   QueryStats* stats = &outcome.stats;
@@ -163,7 +161,6 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     CandidateExchangeOptions exchange_options;
     exchange_options.use_statistics = options_.use_statistics;
     exchange_options.policy = policy;
-    exchange_options.streaming = streaming;
     exchange = ExchangeInternalCandidates(*partitioning_, store_ptrs, rq, net,
                                           ledger, exchange_options);
     stats->candidate_time_ms = exchange.stage_millis;
@@ -307,42 +304,15 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     }
   };
 
-  // Per-site staging slot for stage B: the consumer decodes each site's
-  // batches the moment that site lands (under streaming, while other sites
-  // are still enumerating) and the slots are merged in site order after the
-  // stage returns — so the merged matches are byte-identical whichever
-  // delivery mode ran.
-  struct SiteStageB {
-    std::vector<Binding> matches;
-    size_t num_lpms = 0;
-    bool decode_ok = true;
-  };
-  std::vector<SiteStageB> stage_b(num_sites);
-
-  StageResult peval = RunStageConsuming(
-      net, streaming, StageOrdinal(QueryStage::kPartialEval),
-      ShipmentLedger::kUnaccounted, policy,
-      [&](int site) {
+  StageResult peval = net.ExecuteStage(
+      StageOrdinal(QueryStage::kPartialEval), ShipmentLedger::kUnaccounted,
+      policy, [&](int site) {
         ensure_partial_eval(site);
         const SiteCache& c = cache[site];
         return std::vector<WireMessage>{MakeMessage(
             MessageType::kMatchBatch,
             EncodeMatchBatch(c.lpms.size(), static_cast<uint32_t>(n),
                              c.matches))};
-      },
-      [&](int site, std::vector<WireMessage> msgs) {
-        SiteStageB& sb = stage_b[site];
-        for (const WireMessage& msg : msgs) {
-          if (msg.type != MessageType::kMatchBatch) continue;
-          Result<MatchBatch> batch = DecodeMatchBatch(msg.payload);
-          if (!batch.ok() || batch.value().width != n) {
-            sb.decode_ok = false;
-            break;
-          }
-          sb.num_lpms += batch.value().num_lpms;
-          sb.matches.insert(sb.matches.end(), batch.value().matches.begin(),
-                            batch.value().matches.end());
-        }
       });
   stats->partial_eval_time_ms = peval.run.max_millis;
   stats->partial_eval_run = peval.run;
@@ -356,15 +326,20 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
       report.partial_eval_complete = false;
       continue;
     }
-    SiteStageB& sb = stage_b[site];
-    // A torn batch flags the site incomplete but keeps the batches decoded
-    // before it — a sound subset, same as the drained path always did.
-    if (!sb.decode_ok) report.partial_eval_complete = false;
-    stats->num_lpms += sb.num_lpms;
-    matches.insert(matches.end(),
-                   std::make_move_iterator(sb.matches.begin()),
-                   std::make_move_iterator(sb.matches.end()));
-    sb.matches.clear();
+    for (const WireMessage& msg : peval.messages[site]) {
+      if (msg.type != MessageType::kMatchBatch) continue;
+      Result<MatchBatch> batch = DecodeMatchBatch(msg.payload);
+      if (!batch.ok() || batch.value().width != n) {
+        // A torn batch flags the site incomplete but keeps the batches
+        // decoded before it — a sound subset.
+        report.partial_eval_complete = false;
+        break;
+      }
+      stats->num_lpms += batch.value().num_lpms;
+      matches.insert(matches.end(),
+                     std::make_move_iterator(batch.value().matches.begin()),
+                     std::make_move_iterator(batch.value().matches.end()));
+    }
   }
   DedupBindings(&matches);
   stats->num_local_matches = matches.size();
@@ -406,37 +381,13 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   std::vector<std::vector<bool>> site_survivors(num_sites);
   std::vector<bool> survivors_delivered(num_sites, false);
   if (mode == EngineMode::kLecPruning || mode == EngineMode::kFull) {
-    // Per-site staging for the feature batches, merged in site order below
-    // (pruning input must equal the old global Alg. 1 scan byte-for-byte).
-    struct SiteStageC {
-      std::vector<LecFeature> features;
-      bool decode_ok = true;
-    };
-    std::vector<SiteStageC> stage_c(num_sites);
-
-    StageResult feat = RunStageConsuming(
-        net, streaming, StageOrdinal(QueryStage::kLecFeatures), lec_stage_id,
-        policy,
+    StageResult feat = net.ExecuteStage(
+        StageOrdinal(QueryStage::kLecFeatures), lec_stage_id, policy,
         [&](int site) {
           ensure_features(site);
           return std::vector<WireMessage>{
               MakeMessage(MessageType::kLecFeatureBatch,
                           EncodeLecFeatureBatch(cache[site].features.features))};
-        },
-        [&](int site, std::vector<WireMessage> msgs) {
-          SiteStageC& sc = stage_c[site];
-          for (const WireMessage& msg : msgs) {
-            if (msg.type != MessageType::kLecFeatureBatch) continue;
-            Result<std::vector<LecFeature>> decoded =
-                DecodeLecFeatureBatch(msg.payload);
-            if (!decoded.ok()) {
-              sc.decode_ok = false;
-              break;
-            }
-            sc.features.insert(sc.features.end(),
-                               std::make_move_iterator(decoded.value().begin()),
-                               std::make_move_iterator(decoded.value().end()));
-          }
         });
     stats->transport_retries += feat.total_retries();
     stats->hedged_sites += feat.hedged_sites();
@@ -447,29 +398,34 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     // LPMs are equally gone), but losing an alive site's features forces us
     // to skip pruning entirely: pruning against an incomplete feature set
     // would discard LPMs whose only join partners were in the lost batch.
-    std::vector<std::vector<LecFeature>> site_features(num_sites);
+    std::vector<LecFeature> all_features;
+    std::vector<size_t> offsets(num_sites + 1, 0);
     bool features_lost = false;
     for (size_t site = 0; site < num_sites; ++site) {
+      offsets[site] = all_features.size();
       FoldSiteReport(feat.sites[site], &outcome.sites[site]);
       if (!feat.sites[site].ok) {
         if (!feat.sites[site].crashed) features_lost = true;
         continue;
       }
-      if (!stage_c[site].decode_ok) features_lost = true;
-      site_features[site] = std::move(stage_c[site].features);
+      for (const WireMessage& msg : feat.messages[site]) {
+        if (msg.type != MessageType::kLecFeatureBatch) continue;
+        Result<std::vector<LecFeature>> decoded =
+            DecodeLecFeatureBatch(msg.payload);
+        if (!decoded.ok()) {
+          features_lost = true;
+          break;
+        }
+        all_features.insert(all_features.end(),
+                            std::make_move_iterator(decoded.value().begin()),
+                            std::make_move_iterator(decoded.value().end()));
+      }
     }
+    offsets[num_sites] = all_features.size();
     stats->pruning_degraded = features_lost;
 
     if (!features_lost) {
       Stopwatch prune_watch;
-      std::vector<LecFeature> all_features;
-      std::vector<size_t> offsets(num_sites, 0);
-      for (size_t site = 0; site < num_sites; ++site) {
-        offsets[site] = all_features.size();
-        all_features.insert(all_features.end(),
-                            std::make_move_iterator(site_features[site].begin()),
-                            std::make_move_iterator(site_features[site].end()));
-      }
       stats->num_features = all_features.size();
 
       // The pruning join borrows the same shared pool as assembly below;
@@ -484,11 +440,8 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
       stats->prune_bailed_out = prune.bailed_out;
 
       for (size_t site = 0; site < num_sites; ++site) {
-        size_t count = site + 1 < num_sites ? offsets[site + 1] - offsets[site]
-                                            : all_features.size() - offsets[site];
-        site_survivors[site].assign(
-            prune.survives.begin() + offsets[site],
-            prune.survives.begin() + offsets[site] + count);
+        site_survivors[site].assign(prune.survives.begin() + offsets[site],
+                                    prune.survives.begin() + offsets[site + 1]);
       }
       prune_active = true;
 
@@ -514,19 +467,8 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   // the old global filter exactly.
   const size_t batch_size = std::max<size_t>(1, options_.lpm_batch_size);
 
-  // Assembly-input staging: under streaming, each site's LPM batches are
-  // decoded into its slot while slower sites are still filtering and
-  // shipping; the site-order concatenation below reproduces the drained
-  // path's `surviving` vector exactly.
-  struct SiteStageD {
-    std::vector<LocalPartialMatch> lpms;
-    bool decode_ok = true;
-  };
-  std::vector<SiteStageD> stage_d(num_sites);
-
-  StageResult ship = RunStageConsuming(
-      net, streaming, StageOrdinal(QueryStage::kLpmShipment), lpm_stage_id,
-      policy,
+  StageResult ship = net.ExecuteStage(
+      StageOrdinal(QueryStage::kLpmShipment), lpm_stage_id, policy,
       [&](int site) {
         ensure_partial_eval(site);
         const SiteCache& c = cache[site];
@@ -552,21 +494,6 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
                                      EncodeLpmBatch(to_ship, first, count)));
         }
         return msgs;
-      },
-      [&](int site, std::vector<WireMessage> msgs) {
-        SiteStageD& sd = stage_d[site];
-        for (const WireMessage& msg : msgs) {
-          if (msg.type != MessageType::kLpmBatch) continue;
-          Result<std::vector<LocalPartialMatch>> decoded =
-              DecodeLpmBatch(msg.payload);
-          if (!decoded.ok()) {
-            sd.decode_ok = false;
-            break;
-          }
-          sd.lpms.insert(sd.lpms.end(),
-                         std::make_move_iterator(decoded.value().begin()),
-                         std::make_move_iterator(decoded.value().end()));
-        }
       });
   stats->transport_retries += ship.total_retries();
   stats->hedged_sites += ship.hedged_sites();
@@ -579,12 +506,18 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
       report.lpms_complete = false;
       continue;
     }
-    SiteStageD& sd = stage_d[site];
-    if (!sd.decode_ok) report.lpms_complete = false;
-    surviving.insert(surviving.end(),
-                     std::make_move_iterator(sd.lpms.begin()),
-                     std::make_move_iterator(sd.lpms.end()));
-    sd.lpms.clear();
+    for (const WireMessage& msg : ship.messages[site]) {
+      if (msg.type != MessageType::kLpmBatch) continue;
+      Result<std::vector<LocalPartialMatch>> decoded =
+          DecodeLpmBatch(msg.payload);
+      if (!decoded.ok()) {
+        report.lpms_complete = false;
+        break;
+      }
+      surviving.insert(surviving.end(),
+                       std::make_move_iterator(decoded.value().begin()),
+                       std::make_move_iterator(decoded.value().end()));
+    }
   }
   stats->num_lpms_shipped = surviving.size();
   stats->lec_shipment_bytes = ledger.StageBytes(lec_stage_id);

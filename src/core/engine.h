@@ -193,7 +193,7 @@ struct QueryOutcome {
 };
 
 /// One query, fully described: what to evaluate, at which optimization
-/// level, over whose session, and under which lifetime/delivery knobs. This
+/// level, over whose session, and under which lifetime knobs. This
 /// is the single entry into DistributedEngine::Run (the pre-PR-8
 /// ExecuteQuery/Execute overload set is gone).
 ///
@@ -215,14 +215,6 @@ struct QueryRequest {
   const CancelToken* cancel = nullptr;
   /// Optional request-level wall-clock budget (ms); negative = none.
   double deadline_ms = -1.0;
-
-  /// Deliver stage batches through Transport::StageStream: per-site
-  /// deadlines/retries/hedging fire as each site finishes, and the
-  /// coordinator folds candidate bit-vectors and stages LPM batches while
-  /// slower sites are still executing. Byte-identical outcome (matches,
-  /// stats counters, ledger) to the drained default, which remains the
-  /// reference ablation.
-  bool streaming = false;
 
   QueryRequest() = default;
   QueryRequest(const QueryGraph& q, EngineMode m = EngineMode::kFull)

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -35,6 +36,29 @@ inline uint64_t PackPair(uint32_t a, uint32_t b) {
 }
 
 }  // namespace join_graph_internal
+
+/// Defs. 10/11: partitions item indices into groups of identical LECSign,
+/// in first-appearance order (both the groups and each group's members
+/// ascend by item index). `Item` must expose `.sign` (Bitset).
+template <typename Item>
+std::vector<std::vector<uint32_t>> GroupBySign(const std::vector<Item>& items) {
+  std::vector<std::vector<uint32_t>> groups;
+  std::unordered_map<uint64_t, std::vector<uint32_t>> sign_buckets;
+  for (uint32_t i = 0; i < items.size(); ++i) {
+    std::vector<uint32_t>& bucket = sign_buckets[items[i].sign.Hash()];
+    auto same_sign = [&](uint32_t g) {
+      return items[groups[g].front()].sign == items[i].sign;
+    };
+    auto it = std::find_if(bucket.begin(), bucket.end(), same_sign);
+    if (it != bucket.end()) {
+      groups[*it].push_back(i);
+    } else {
+      bucket.push_back(static_cast<uint32_t>(groups.size()));
+      groups.push_back({i});
+    }
+  }
+  return groups;
+}
 
 /// Builds the group join graph — an edge between two LECSign groups when
 /// some cross-group item pair has joinable features — via an inverted index
@@ -141,40 +165,6 @@ std::vector<std::vector<uint32_t>> BuildJoinGraphIndexed(
   }
   for (auto& list : adjacency) std::sort(list.begin(), list.end());
   stats->num_edges += joinable_pairs.size();
-  return adjacency;
-}
-
-/// Reference all-pairs construction of the same graph (the pre-index O(G²)
-/// behavior). Kept for the equivalence tests and as the comparison bar of
-/// the parallel-scaling benchmark.
-template <typename Item>
-std::vector<std::vector<uint32_t>> BuildJoinGraphAllPairs(
-    const std::vector<Item>& items,
-    const std::vector<std::vector<uint32_t>>& groups, JoinGraphStats* stats) {
-  const size_t num_groups = groups.size();
-  std::vector<std::vector<uint32_t>> adjacency(num_groups);
-  for (uint32_t a = 0; a < num_groups; ++a) {
-    for (uint32_t b = a + 1; b < num_groups; ++b) {
-      bool joinable = false;
-      for (uint32_t ia : groups[a]) {
-        for (uint32_t ib : groups[b]) {
-          ++stats->join_attempts;
-          if (FeaturesJoinable(items[ia].sign, items[ia].crossing,
-                               items[ib].sign, items[ib].crossing)) {
-            joinable = true;
-            break;
-          }
-        }
-        if (joinable) break;
-      }
-      if (joinable) {
-        adjacency[a].push_back(b);
-        adjacency[b].push_back(a);
-        ++stats->num_edges;
-      }
-    }
-  }
-  for (auto& list : adjacency) std::sort(list.begin(), list.end());
   return adjacency;
 }
 

@@ -229,25 +229,10 @@ PruneResult LecFeaturePruning(const std::vector<LecFeature>& features,
   ctx.features = &features;
 
   // Def. 10: group features by LECSign.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> sign_buckets;
-  std::vector<Bitset> group_signs;
-  for (uint32_t i = 0; i < features.size(); ++i) {
-    GSTORED_CHECK_EQ(features[i].sign.size(), num_query_vertices);
-    uint64_t h = features[i].sign.Hash();
-    bool placed = false;
-    for (uint32_t g : sign_buckets[h]) {
-      if (group_signs[g] == features[i].sign) {
-        ctx.groups[g].push_back(i);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      sign_buckets[h].push_back(static_cast<uint32_t>(ctx.groups.size()));
-      group_signs.push_back(features[i].sign);
-      ctx.groups.push_back({i});
-    }
+  for (const LecFeature& f : features) {
+    GSTORED_CHECK_EQ(f.sign.size(), num_query_vertices);
   }
+  ctx.groups = GroupBySign(features);
   const size_t num_groups = ctx.groups.size();
   result.num_groups = num_groups;
 
@@ -256,11 +241,7 @@ PruneResult LecFeaturePruning(const std::vector<LecFeature>& features,
   // construction probes only pairs sharing a crossing mapping (a Def. 9
   // necessity) instead of all cross-group pairs.
   JoinGraphStats graph_stats;
-  ctx.adjacency = options.use_indexed_join_graph
-                      ? BuildJoinGraphIndexed(features, ctx.groups,
-                                              &graph_stats)
-                      : BuildJoinGraphAllPairs(features, ctx.groups,
-                                               &graph_stats);
+  ctx.adjacency = BuildJoinGraphIndexed(features, ctx.groups, &graph_stats);
   result.join_attempts += graph_stats.join_attempts;
   result.num_join_graph_edges = graph_stats.num_edges;
 

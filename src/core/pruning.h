@@ -57,13 +57,6 @@ struct PruneOptions {
   /// vmin group engages one slot per this many seeds, so tiny prunes skip
   /// pool coordination entirely. Tests set 1 to force the pool path.
   size_t min_seeds_per_slot = 4;
-
-  /// Build the group join graph through the crossing-mapping inverted index
-  /// (core/join_graph.h) instead of all-pairs probing. false restores the
-  /// O(G² · F²) reference scan — kept for the equivalence test and the
-  /// ablation benchmark; the resulting graph (and surviving set) is
-  /// identical either way, only the probe count changes.
-  bool use_indexed_join_graph = true;
 };
 
 /// Algorithm 2: groups features by LECSign (Def. 10 / Thm. 5), builds the

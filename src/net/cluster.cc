@@ -1,11 +1,7 @@
 #include "net/cluster.h"
 
-#include <algorithm>
-#include <thread>
-
 #include "net/transport.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace gstored {
@@ -83,28 +79,6 @@ SimulatedCluster::~SimulatedCluster() = default;
 
 ThreadPool& SimulatedCluster::intra_site_pool() const {
   return ThreadPool::Shared();
-}
-
-StageRun SimulatedCluster::RunStage(
-    const std::function<void(int site)>& task) const {
-  StageRun run;
-  run.site_millis.assign(num_sites_, 0.0);
-  run.queue_wait_millis.assign(num_sites_, 0.0);
-  run.exec_millis.assign(num_sites_, 0.0);
-  std::vector<std::thread> threads;
-  threads.reserve(num_sites_);
-  for (int site = 0; site < num_sites_; ++site) {
-    threads.emplace_back([&, site] {
-      Stopwatch watch;
-      task(site);
-      run.site_millis[site] = watch.ElapsedMillis();
-      run.exec_millis[site] = run.site_millis[site];
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  run.max_millis =
-      *std::max_element(run.site_millis.begin(), run.site_millis.end());
-  return run;
 }
 
 }  // namespace gstored

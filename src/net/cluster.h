@@ -2,7 +2,6 @@
 #define GSTORED_NET_CLUSTER_H_
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -73,7 +72,7 @@ class ShipmentLedger {
   std::vector<std::atomic<size_t>> counters_;
 };
 
-/// Result of running one distributed stage across all sites in parallel.
+/// Timing of one distributed stage across all sites (StageResult::run).
 struct StageRun {
   /// Per-site total stage time in milliseconds: transport queue wait plus
   /// execution — the slowest-site semantics of the paper.
@@ -108,12 +107,6 @@ class SimulatedCluster {
 
   /// The mailbox transport carrying all coordinator<->site messages.
   InProcessTransport& transport() const { return *transport_; }
-
-  /// Legacy synchronous barrier: runs `task` once per site, in parallel,
-  /// and times each — no messages, no faults. The engine pipeline uses
-  /// transport().ExecuteStage instead; this remains for shared-memory
-  /// fan-outs that ship nothing.
-  StageRun RunStage(const std::function<void(int site)>& task) const;
 
   /// Worker pool for intra-site parallelism (parallel matching / LPM
   /// enumeration inside one site) and for the coordinator-side assembly

@@ -19,11 +19,8 @@ struct DeliveredMessage {
   double arrival_ms = 0.0;
 };
 
-/// A thread-safe FIFO of delivered messages. The transport owns one mailbox
-/// per site (coordinator -> site broadcasts) plus one for the coordinator
-/// (site -> coordinator responses); site threads push concurrently, the
-/// receiver drains after the stage barrier and reassembles by sequence
-/// number, so mailbox arrival order never affects results.
+/// A thread-safe FIFO of delivered messages: the transport owns one mailbox
+/// per site for coordinator -> site broadcasts.
 class Mailbox {
  public:
   void Push(DeliveredMessage msg);
@@ -44,18 +41,19 @@ struct StagePolicy {
   /// payload message) has not arrived by then is retried.
   double deadline_ms = 1000.0;
 
-  /// Total dispatch attempts per site (>= 1). Stage re-execution is
-  /// idempotent: sites cache their per-query computation, so a retry
-  /// re-ships the same bytes rather than recomputing different ones.
+  /// Total dispatch attempts per site (>= 1). A retry re-ships the bytes
+  /// the site computed for its first attempt.
   int max_attempts = 3;
 
   /// Base retry backoff, doubled every attempt (virtual).
   double backoff_ms = 5.0;
 
-  /// After all attempts fail, re-run the site's stage function on the
-  /// coordinator thread against the coordinator-local fragment copy
-  /// ("straggler hedging"). Recovers stragglers and — in this in-process
-  /// runtime, where the replica is always available — crashed sites too.
+  /// After all attempts fail, take the site's output from the
+  /// coordinator-local fragment copy ("straggler hedging"): the buffered
+  /// bytes when the site computed them, otherwise one run of the stage
+  /// function, both on the site's stage thread. Recovers stragglers and —
+  /// in this in-process runtime, where the replica is always available —
+  /// crashed sites too.
   /// Disable to model a deployment without replicas, where lost sites
   /// degrade the query to a flagged partial result.
   bool hedge_local = true;
@@ -87,14 +85,6 @@ struct StageResult {
   size_t hedged_sites() const;
 };
 
-/// Receives one completed site's deduplicated, sequence-ordered payload
-/// messages from StageStream. Invocations are serialized (never concurrent)
-/// but their cross-site order follows completion time, which is
-/// scheduling-dependent: consumers must either fold commutatively (bitmap
-/// ORs) or stage per site and merge in site order after the stage returns.
-using SiteBatchConsumer =
-    std::function<void(int site, std::vector<WireMessage> msgs)>;
-
 /// The async cluster transport: per-site mailboxes carrying typed serialized
 /// messages whose wire sizes feed the ShipmentLedger. Implementations must
 /// be deterministic under a seeded FaultPlan.
@@ -105,36 +95,19 @@ class Transport {
   virtual int num_sites() const = 0;
 
   /// Runs one coordinator-driven stage: every site executes `site_fn`
-  /// concurrently and ships the returned messages to the coordinator
-  /// mailbox; the transport enforces the per-attempt deadline, retries with
-  /// exponential backoff, and finally hedges locally per `policy`.
-  /// `ledger_stage` attributes the wire bytes (ShipmentLedger::kUnaccounted
-  /// for control/result traffic outside the paper's shipment metric).
-  /// `site_fn` may be re-invoked for the same site (retries, hedging) and
-  /// must be idempotent; it runs on a transport thread, or on the calling
-  /// thread when hedging.
+  /// concurrently and ships the returned messages to the coordinator; the
+  /// transport enforces the per-attempt deadline, retries with exponential
+  /// backoff, and finally hedges locally per `policy`. Each site runs its
+  /// own attempt loop, so a straggler's retries never hold back another
+  /// site's. `ledger_stage` attributes the wire bytes
+  /// (ShipmentLedger::kUnaccounted for control/result traffic outside the
+  /// paper's shipment metric). `site_fn` runs at most once per site, on that
+  /// site's transport thread: retries re-ship its buffered bytes, and a
+  /// hedge delivers them directly.
   virtual StageResult ExecuteStage(
       uint32_t stage, ShipmentLedger::StageId ledger_stage,
       const StagePolicy& policy,
       const std::function<std::vector<WireMessage>(int site)>& site_fn) = 0;
-
-  /// Streaming variant of ExecuteStage: each site's batches are handed to
-  /// `on_site` the moment that site completes — while slower sites are still
-  /// executing — instead of after a whole-stage drain. Per-site semantics
-  /// are unchanged: the same deadline/retry/backoff/hedging state machine
-  /// runs per site (now independently rather than in attempt lockstep), the
-  /// delivered payloads are deduplicated and sequence-ordered, and the fault
-  /// draws are keyed identically to ExecuteStage, so the per-site reports,
-  /// ledger bytes and delivered payloads are byte-identical to the drained
-  /// path. Only `on_site` sees the messages; the returned
-  /// StageResult::messages stay empty. The base implementation drains via
-  /// ExecuteStage and replays the sites in index order — correct but without
-  /// overlap — so transports only override it for real pipelining.
-  virtual StageResult StageStream(
-      uint32_t stage, ShipmentLedger::StageId ledger_stage,
-      const StagePolicy& policy,
-      const std::function<std::vector<WireMessage>(int site)>& site_fn,
-      const SiteBatchConsumer& on_site);
 
   /// Reliable coordinator -> sites broadcast: sends `make_msg(site)` to each
   /// site's mailbox, retrying undelivered sites up to policy.max_attempts.
@@ -148,9 +121,9 @@ class Transport {
 };
 
 /// The in-process implementation: real threads per site, virtual time for
-/// faults. Deterministic given the FaultPlan — message arrival order in the
-/// mailboxes is scheduling-dependent, but every decision downstream of the
-/// mailboxes (drop/duplicate/latency draws, sequence reassembly, deadline
+/// faults. Deterministic given the FaultPlan — thread scheduling decides
+/// only when a site finishes, while every decision about its messages
+/// (drop/duplicate/latency draws, sequence reassembly, deadline
 /// comparisons) is a pure function of the plan, so the stage results,
 /// ledger byte counts and query outcomes replay byte-identically.
 class InProcessTransport : public Transport {
@@ -158,8 +131,7 @@ class InProcessTransport : public Transport {
   /// `session_id` stamps every message this transport sends — concurrent
   /// queries each run over their own transport instance (own mailboxes, own
   /// ledger), and the session id makes their traffic distinguishable on the
-  /// wire, as a shared socket transport would require. Receivers discard
-  /// messages from foreign sessions.
+  /// wire, as a shared socket transport would require.
   InProcessTransport(int num_sites, ShipmentLedger* ledger, FaultPlan plan = {},
                      uint32_t session_id = 0);
 
@@ -168,7 +140,6 @@ class InProcessTransport : public Transport {
   ShipmentLedger& ledger() const { return *ledger_; }
   uint32_t session_id() const { return session_id_; }
 
-  Mailbox& coordinator_mailbox() { return coordinator_box_; }
   Mailbox& site_mailbox(int site) { return *site_boxes_[site]; }
 
   StageResult ExecuteStage(
@@ -177,62 +148,29 @@ class InProcessTransport : public Transport {
       const std::function<std::vector<WireMessage>(int site)>& site_fn)
       override;
 
-  /// True pipelining: one thread per site runs the site's whole
-  /// attempt/retry/hedge loop against a private inbox, and `on_site` fires
-  /// as each site lands. `site_fn` is invoked once per site (sites cache
-  /// their per-query computation, so the drained path's per-attempt
-  /// re-invocation recomputes identical bytes anyway); retries re-ship the
-  /// buffered wire bytes with only the attempt header restamped, which keeps
-  /// the ledger byte-identical to ExecuteStage while skipping the redundant
-  /// re-encode.
-  StageResult StageStream(
-      uint32_t stage, ShipmentLedger::StageId ledger_stage,
-      const StagePolicy& policy,
-      const std::function<std::vector<WireMessage>(int site)>& site_fn,
-      const SiteBatchConsumer& on_site) override;
-
   std::vector<bool> BroadcastReliable(
       uint32_t stage, ShipmentLedger::StageId ledger_stage,
       const StagePolicy& policy,
       const std::function<WireMessage(int site)>& make_msg) override;
 
  private:
-  /// Applies send-side faults to one site's stage response (drop, duplicate,
-  /// latency stamps) and pushes the survivors into the coordinator mailbox.
-  /// `base_offset_ms` shifts arrival times by the accumulated backoff.
-  void ShipFromSite(int site, uint32_t stage, uint32_t attempt,
-                    std::vector<WireMessage> msgs,
-                    ShipmentLedger::StageId ledger_stage,
-                    double base_offset_ms);
-
-  /// Re-ships an already-stamped send buffer (payloads + done marker) for a
-  /// retry attempt into `dest`, restamping only the attempt header. Fault
-  /// draws and ledger accounting are keyed exactly as ShipFromSite's.
+  /// Ships one attempt of a site's stamped send buffer (payloads + done
+  /// marker) into the coordinator-side inbox `dest`, restamping only the
+  /// attempt header. Applies the send-side faults (drop, duplicate, latency
+  /// stamps) and accounts every byte put on the wire; `base_offset_ms`
+  /// shifts arrival times by the accumulated backoff.
   void ShipBuffered(int site, uint32_t stage, uint32_t attempt,
                     const std::vector<WireMessage>& buffer,
                     ShipmentLedger::StageId ledger_stage,
-                    double base_offset_ms, Mailbox* dest);
+                    double base_offset_ms,
+                    std::vector<DeliveredMessage>* dest);
 
   int num_sites_;
   ShipmentLedger* ledger_;
   FaultPlan plan_;
   uint32_t session_id_ = 0;
-  Mailbox coordinator_box_;
   std::vector<std::unique_ptr<Mailbox>> site_boxes_;
 };
-
-/// Runs one stage over whichever delivery mode the caller selected:
-/// `streaming == false` executes the drained barrier (ExecuteStage) and then
-/// feeds each ok site's messages to `consume` in ascending site order;
-/// `streaming == true` delegates to StageStream so `consume` fires per site
-/// on arrival. Consumers that stage per site and merge in site order after
-/// this returns produce byte-identical results under both modes — the
-/// pipelined engine path is built entirely from this discipline.
-StageResult RunStageConsuming(
-    Transport& net, bool streaming, uint32_t stage,
-    ShipmentLedger::StageId ledger_stage, const StagePolicy& policy,
-    const std::function<std::vector<WireMessage>(int site)>& site_fn,
-    const SiteBatchConsumer& consume);
 
 }  // namespace gstored
 

@@ -332,49 +332,59 @@ TEST(FaultInjectionTest, ReferenceScenariosUnderMixedFaults) {
   }
 }
 
-/// Drains one request both ways and demands byte-identical outcomes: the
-/// streaming stage pipeline must be an execution-strategy change only.
-void ExpectStreamingMatchesDrained(DistributedEngine& drained_engine,
-                                   DistributedEngine& streaming_engine,
-                                   const QueryGraph& query, EngineMode mode,
-                                   const std::string& context) {
-  QueryRequest drained(query, mode);
-  QueryOutcome reference = drained_engine.Run(drained);
-  auto reference_ledger = drained_engine.cluster().ledger().Breakdown();
-
-  QueryRequest pipelined(query, mode);
-  pipelined.streaming = true;
-  QueryOutcome outcome = streaming_engine.Run(pipelined);
-  auto ledger = streaming_engine.cluster().ledger().Breakdown();
+/// Runs one request on a 1-thread and an 8-thread engine under the same
+/// fault plan and demands byte-identical outcomes: per-site attempt loops
+/// and worker slots may interleave differently, the matches, stats
+/// counters, ledger and site reports may not.
+void ExpectThreadCountsMatch(DistributedEngine& serial_engine,
+                             DistributedEngine& parallel_engine,
+                             const QueryGraph& query, EngineMode mode,
+                             const std::string& context) {
+  QueryOutcome reference = serial_engine.Run({query, mode});
+  auto reference_ledger = serial_engine.cluster().ledger().Breakdown();
+  QueryOutcome outcome = parallel_engine.Run({query, mode});
+  auto ledger = parallel_engine.cluster().ledger().Breakdown();
 
   EXPECT_EQ(outcome.matches, reference.matches) << context;
   EXPECT_EQ(outcome.exact, reference.exact) << context;
   EXPECT_EQ(ledger, reference_ledger) << context;
-  EXPECT_EQ(outcome.stats.transport_retries,
-            reference.stats.transport_retries)
+  const QueryStats& got = outcome.stats;
+  const QueryStats& want = reference.stats;
+  EXPECT_EQ(got.transport_retries, want.transport_retries) << context;
+  EXPECT_EQ(got.hedged_sites, want.hedged_sites) << context;
+  EXPECT_EQ(got.num_lpms, want.num_lpms) << context;
+  EXPECT_EQ(got.num_lpms_shipped, want.num_lpms_shipped) << context;
+  EXPECT_EQ(got.num_features, want.num_features) << context;
+  EXPECT_EQ(got.num_surviving_features, want.num_surviving_features)
       << context;
-  EXPECT_EQ(outcome.stats.hedged_sites, reference.stats.hedged_sites)
+  EXPECT_EQ(got.num_local_matches, want.num_local_matches) << context;
+  EXPECT_EQ(got.num_crossing_matches, want.num_crossing_matches) << context;
+  EXPECT_EQ(got.num_matches, want.num_matches) << context;
+  EXPECT_EQ(got.candidate_shipment_bytes, want.candidate_shipment_bytes)
       << context;
-  EXPECT_EQ(outcome.stats.num_lpms_shipped, reference.stats.num_lpms_shipped)
-      << context;
-  EXPECT_EQ(outcome.stats.exchange_degraded, reference.stats.exchange_degraded)
-      << context;
-  EXPECT_EQ(outcome.stats.pruning_degraded, reference.stats.pruning_degraded)
-      << context;
+  EXPECT_EQ(got.lec_shipment_bytes, want.lec_shipment_bytes) << context;
+  EXPECT_EQ(got.lpm_shipment_bytes, want.lpm_shipment_bytes) << context;
+  EXPECT_EQ(got.exchange_degraded, want.exchange_degraded) << context;
+  EXPECT_EQ(got.pruning_degraded, want.pruning_degraded) << context;
+  EXPECT_EQ(got.prune_bailed_out, want.prune_bailed_out) << context;
   ASSERT_EQ(outcome.sites.size(), reference.sites.size()) << context;
   for (size_t s = 0; s < outcome.sites.size(); ++s) {
-    EXPECT_EQ(outcome.sites[s].complete(), reference.sites[s].complete())
+    const SiteReport& a = outcome.sites[s];
+    const SiteReport& b = reference.sites[s];
+    EXPECT_EQ(a.partial_eval_complete, b.partial_eval_complete)
         << context << " site=" << s;
-    EXPECT_EQ(outcome.sites[s].crashed, reference.sites[s].crashed)
-        << context << " site=" << s;
+    EXPECT_EQ(a.lpms_complete, b.lpms_complete) << context << " site=" << s;
+    EXPECT_EQ(a.crashed, b.crashed) << context << " site=" << s;
+    EXPECT_EQ(a.hedged, b.hedged) << context << " site=" << s;
+    EXPECT_EQ(a.max_attempts, b.max_attempts) << context << " site=" << s;
   }
 }
 
-TEST(FaultInjectionTest, StreamingIsByteIdenticalUnderFaultMatrix) {
-  // The pipelined delivery path must replay the drained path's fault draws,
-  // retries, hedges and wire bytes exactly — across a crash plan, a drop
+TEST(FaultInjectionTest, ThreadCountsByteIdenticalUnderFaultMatrix) {
+  // The per-site attempt loops must replay the same fault draws, retries,
+  // hedges and wire bytes at 1 and 8 threads — across a crash plan, a drop
   // plan, a reorder+duplication plan and a latency/straggler plan, each
-  // under several seeds, with and without hedging, at 1 and 8 threads.
+  // under several seeds, with and without hedging, in kBasic and kFull.
   auto dataset = testing::BuildPaperDataset();
   Partitioning p = testing::BuildPaperPartitioning(*dataset);
   QueryGraph query = testing::BuildPaperQuery();
@@ -408,28 +418,25 @@ TEST(FaultInjectionTest, StreamingIsByteIdenticalUnderFaultMatrix) {
       FaultPlan plan = np.plan;
       plan.seed = seed;
       for (bool hedge : {true, false}) {
-        for (size_t threads : {size_t{1}, size_t{8}}) {
-          DistributedEngine drained(
-              &p, WithPlan(plan, hedge, threads, /*max_attempts=*/4));
-          DistributedEngine streaming(
-              &p, WithPlan(plan, hedge, threads, /*max_attempts=*/4));
-          for (EngineMode mode : {EngineMode::kBasic, EngineMode::kFull}) {
-            ExpectStreamingMatchesDrained(
-                drained, streaming, query, mode,
-                std::string(np.name) + " seed=" + std::to_string(seed) +
-                    " hedge=" + std::to_string(hedge) +
-                    " threads=" + std::to_string(threads) + " mode=" +
-                    EngineModeName(mode));
-          }
+        DistributedEngine serial(
+            &p, WithPlan(plan, hedge, /*threads=*/1, /*max_attempts=*/4));
+        DistributedEngine parallel(
+            &p, WithPlan(plan, hedge, /*threads=*/8, /*max_attempts=*/4));
+        for (EngineMode mode : {EngineMode::kBasic, EngineMode::kFull}) {
+          ExpectThreadCountsMatch(
+              serial, parallel, query, mode,
+              std::string(np.name) + " seed=" + std::to_string(seed) +
+                  " hedge=" + std::to_string(hedge) + " mode=" +
+                  EngineModeName(mode));
         }
       }
     }
   }
 }
 
-TEST(FaultInjectionTest, StreamingLubmByteIdenticalUnderMixedFaults) {
+TEST(FaultInjectionTest, LubmThreadCountsByteIdenticalUnderMixedFaults) {
   // Same contract on a real workload: every LUBM-3 query, mixed fault plan,
-  // three seeds, both thread counts.
+  // three seeds.
   LubmConfig config;
   config.universities = 3;
   Workload w = MakeLubmWorkload(config);
@@ -443,17 +450,13 @@ TEST(FaultInjectionTest, StreamingLubmByteIdenticalUnderMixedFaults) {
     plan.default_fault.duplicate_prob = 0.1;
     plan.default_fault.latency_mean_ms = 1.5;
     plan.site_overrides[2].straggler = true;
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      DistributedEngine drained(
-          &p, WithPlan(plan, /*hedge=*/true, threads, /*max_attempts=*/6));
-      DistributedEngine streaming(
-          &p, WithPlan(plan, /*hedge=*/true, threads, /*max_attempts=*/6));
-      for (const BenchmarkQuery& bq : w.queries) {
-        ExpectStreamingMatchesDrained(
-            drained, streaming, bq.query, EngineMode::kFull,
-            bq.name + " seed=" + std::to_string(seed) + " threads=" +
-                std::to_string(threads));
-      }
+    DistributedEngine serial(
+        &p, WithPlan(plan, /*hedge=*/true, /*threads=*/1, /*max_attempts=*/6));
+    DistributedEngine parallel(
+        &p, WithPlan(plan, /*hedge=*/true, /*threads=*/8, /*max_attempts=*/6));
+    for (const BenchmarkQuery& bq : w.queries) {
+      ExpectThreadCountsMatch(serial, parallel, bq.query, EngineMode::kFull,
+                              bq.name + " seed=" + std::to_string(seed));
     }
   }
 }

@@ -1,11 +1,14 @@
 // Unit tests for the simulated cluster: shipment ledger accounting (thread
 // safety included), mailbox/transport semantics under injected faults, and
-// parallel stage execution.
+// per-site stage execution.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -33,13 +36,16 @@ TEST(ShipmentLedgerTest, AccumulatesPerStage) {
 
 TEST(ShipmentLedgerTest, ConcurrentAddsAreLossless) {
   ShipmentLedger ledger;
-  SimulatedCluster cluster(8);
-  cluster.RunStage([&](int site) {
-    for (int i = 0; i < 1000; ++i) {
-      ledger.Add("stage", 1);
-      ledger.Add("site" + std::to_string(site), 2);
-    }
-  });
+  std::vector<std::thread> threads;
+  for (int site = 0; site < 8; ++site) {
+    threads.emplace_back([&ledger, site] {
+      for (int i = 0; i < 1000; ++i) {
+        ledger.Add("stage", 1);
+        ledger.Add("site" + std::to_string(site), 2);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
   EXPECT_EQ(ledger.StageBytes("stage"), 8000u);
   for (int s = 0; s < 8; ++s) {
     EXPECT_EQ(ledger.StageBytes("site" + std::to_string(s)), 2000u);
@@ -281,59 +287,43 @@ TEST(InProcessTransportTest, DropsAreRecoveredByRetryDeterministically) {
 }
 
 // ---------------------------------------------------------------------------
-// StageStream: pipelined per-site delivery.
+// Per-site attempt loops: replay, isolation and call counts.
 
-/// Collects StageStream callbacks and verifies each site's batch equals the
-/// drained path's result.messages[site] under the same fault plan.
-struct StreamCollector {
-  std::vector<std::vector<WireMessage>> batches;
-  std::vector<int> arrival_order;
-
-  SiteBatchConsumer Consumer(int num_sites) {
-    batches.assign(num_sites, {});
-    arrival_order.clear();
-    return [this](int site, std::vector<WireMessage> msgs) {
-      arrival_order.push_back(site);
-      batches[site] = std::move(msgs);
-    };
-  }
+/// Everything one ExecuteStage run exposes, for replay comparisons.
+struct StageSnapshot {
+  StageResult result;
+  std::vector<std::pair<std::string, size_t>> ledger;
 };
 
-TEST(StageStreamTest, DeliversPerSiteBatchesInSeqOrder) {
+StageSnapshot RunFreshStage(
+    int num_sites, const FaultPlan& plan, const StagePolicy& policy,
+    uint32_t stage,
+    const std::function<std::vector<WireMessage>(int site)>& site_fn) {
   ShipmentLedger ledger;
-  InProcessTransport transport(3, &ledger);
-  StreamCollector collector;
-  StageResult result = transport.StageStream(
-      0, ShipmentLedger::kUnaccounted, StagePolicy{},
-      [](int site) {
-        std::vector<WireMessage> msgs;
-        msgs.push_back(MakeMessage(
-            MessageType::kCandidateEstimates,
-            EncodeEstimates({static_cast<double>(site), 1.0})));
-        msgs.push_back(MakeMessage(MessageType::kCandidateEstimates,
-                                   EncodeEstimates({2.0})));
-        return msgs;
-      },
-      collector.Consumer(3));
-  EXPECT_TRUE(result.complete());
-  ASSERT_EQ(collector.arrival_order.size(), 3u);
-  for (int site = 0; site < 3; ++site) {
-    ASSERT_EQ(collector.batches[site].size(), 2u);
-    EXPECT_EQ(collector.batches[site][0].seq, 0u);
-    EXPECT_EQ(collector.batches[site][1].seq, 1u);
-    auto est = DecodeEstimates(collector.batches[site][0].payload);
-    ASSERT_TRUE(est.ok());
-    EXPECT_EQ((*est)[0], static_cast<double>(site));
-    // StageStream moves batches to the consumer; result.messages stays empty.
-    EXPECT_TRUE(result.messages[site].empty());
+  InProcessTransport transport(num_sites, &ledger, plan);
+  StageSnapshot snap;
+  snap.result =
+      transport.ExecuteStage(stage, ledger.Intern("s"), policy, site_fn);
+  snap.ledger = ledger.Breakdown();
+  return snap;
+}
+
+void ExpectSameMessages(const std::vector<WireMessage>& a,
+                        const std::vector<WireMessage>& b,
+                        const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].seq, b[i].seq) << context;
+    EXPECT_EQ(a[i].payload, b[i].payload) << context;
   }
 }
 
-TEST(StageStreamTest, MatchesExecuteStageUnderEveryFaultFamily) {
-  // The contract the engine's streaming mode rests on: under an identical
-  // FaultPlan, StageStream delivers exactly the batches ExecuteStage drains
-  // — same payloads, same per-site reports, same ledger bytes — for drops,
-  // duplication+reorder, a straggler (hedged and unhedged) and a crash.
+TEST(ExecuteStageTest, ReplaysIdenticallyUnderEveryFaultFamily) {
+  // Per fault family (drops, duplication+reorder, a straggler hedged and
+  // unhedged, a crash): two fresh transports under the same plan give the
+  // same per-site reports, payloads and ledger whatever the thread
+  // scheduling, and every site that is recovered delivers exactly the
+  // fault-free run's payloads.
   auto site_fn = [](int site) {
     std::vector<WireMessage> msgs;
     for (uint32_t i = 0; i < 3; ++i) {
@@ -343,6 +333,10 @@ TEST(StageStreamTest, MatchesExecuteStageUnderEveryFaultFamily) {
     }
     return msgs;
   };
+  StagePolicy clean_policy;
+  clean_policy.max_attempts = 4;
+  StageSnapshot clean = RunFreshStage(3, FaultPlan{}, clean_policy, 2, site_fn);
+  ASSERT_TRUE(clean.result.complete());
 
   std::vector<FaultPlan> plans(5);
   plans[0].default_fault.drop_prob = 0.3;
@@ -361,120 +355,82 @@ TEST(StageStreamTest, MatchesExecuteStageUnderEveryFaultFamily) {
       policy.max_attempts = 4;
       policy.hedge_local = which != 3;
 
-      ShipmentLedger drained_ledger;
-      InProcessTransport drained(3, &drained_ledger, plan);
-      ShipmentLedger::StageId drained_stage = drained_ledger.Intern("s");
-      StageResult expected =
-          drained.ExecuteStage(2, drained_stage, policy, site_fn);
-
-      ShipmentLedger streamed_ledger;
-      InProcessTransport streamed(3, &streamed_ledger, plan);
-      ShipmentLedger::StageId streamed_stage = streamed_ledger.Intern("s");
-      StreamCollector collector;
-      StageResult result = streamed.StageStream(
-          2, streamed_stage, policy, site_fn, collector.Consumer(3));
+      StageSnapshot first = RunFreshStage(3, plan, policy, 2, site_fn);
+      StageSnapshot second = RunFreshStage(3, plan, policy, 2, site_fn);
 
       const std::string context =
           "plan=" + std::to_string(which) + " seed=" + std::to_string(seed);
-      EXPECT_EQ(result.complete(), expected.complete()) << context;
-      EXPECT_EQ(result.total_retries(), expected.total_retries()) << context;
-      EXPECT_EQ(result.hedged_sites(), expected.hedged_sites()) << context;
-      EXPECT_EQ(streamed_ledger.Breakdown(), drained_ledger.Breakdown())
-          << context;
+      EXPECT_EQ(second.ledger, first.ledger) << context;
       for (int site = 0; site < 3; ++site) {
-        EXPECT_EQ(result.sites[site].ok, expected.sites[site].ok) << context;
-        EXPECT_EQ(result.sites[site].crashed, expected.sites[site].crashed)
-            << context;
-        EXPECT_EQ(result.sites[site].attempts, expected.sites[site].attempts)
-            << context;
-        EXPECT_EQ(result.sites[site].hedged, expected.sites[site].hedged)
-            << context;
-        if (!expected.sites[site].ok) {
-          EXPECT_TRUE(collector.batches[site].empty()) << context;
-          continue;
-        }
-        ASSERT_EQ(collector.batches[site].size(),
-                  expected.messages[site].size())
-            << context << " site=" << site;
-        for (size_t i = 0; i < collector.batches[site].size(); ++i) {
-          EXPECT_EQ(collector.batches[site][i].seq,
-                    expected.messages[site][i].seq)
-              << context;
-          EXPECT_EQ(collector.batches[site][i].payload,
-                    expected.messages[site][i].payload)
-              << context;
+        const SiteStageReport& a = first.result.sites[site];
+        const SiteStageReport& b = second.result.sites[site];
+        const std::string where = context + " site=" + std::to_string(site);
+        EXPECT_EQ(b.ok, a.ok) << where;
+        EXPECT_EQ(b.crashed, a.crashed) << where;
+        EXPECT_EQ(b.attempts, a.attempts) << where;
+        EXPECT_EQ(b.hedged, a.hedged) << where;
+        EXPECT_EQ(b.queue_wait_ms, a.queue_wait_ms) << where;
+        ExpectSameMessages(second.result.messages[site],
+                           first.result.messages[site], where);
+        if (a.ok) {
+          ExpectSameMessages(first.result.messages[site],
+                             clean.result.messages[site], where);
+        } else {
+          EXPECT_TRUE(first.result.messages[site].empty()) << where;
         }
       }
     }
   }
 }
 
-TEST(StageStreamTest, OnlyRecoveredSitesReachTheConsumer) {
-  // A failed site (straggler, no hedging) must never invoke the consumer —
-  // a partial attempt's bytes leaking through would tear the fold.
+TEST(ExecuteStageTest, UnrecoveredSiteDeliversNothing) {
+  // A failed site (straggler, no hedging) must deliver no messages — a
+  // partial attempt's bytes leaking through would tear the caller's merge.
   FaultPlan plan;
   plan.site_overrides[1].straggler = true;
-  ShipmentLedger ledger;
-  InProcessTransport transport(2, &ledger, plan);
   StagePolicy policy;
   policy.max_attempts = 2;
   policy.hedge_local = false;
-  StreamCollector collector;
-  StageResult result = transport.StageStream(
-      0, ShipmentLedger::kUnaccounted, policy,
-      [](int site) {
-        return std::vector<WireMessage>{
-            MakeMessage(MessageType::kCandidateEstimates,
-                        EncodeEstimates({static_cast<double>(site)}))};
-      },
-      collector.Consumer(2));
-  EXPECT_FALSE(result.complete());
-  EXPECT_FALSE(result.sites[1].ok);
-  ASSERT_EQ(collector.arrival_order.size(), 1u);
-  EXPECT_EQ(collector.arrival_order[0], 0);
-  EXPECT_TRUE(collector.batches[1].empty());
-}
-
-TEST(StageStreamTest, BaseTransportDefaultDrainsThenReplaysInSiteOrder) {
-  // RunStageConsuming with streaming=false must feed the consumer from the
-  // drained result in ascending site order — the reference semantics the
-  // pipelined path is measured against.
-  ShipmentLedger ledger;
-  InProcessTransport transport(4, &ledger);
-  StreamCollector collector;
-  StageResult result = RunStageConsuming(
-      transport, /*streaming=*/false, 0, ShipmentLedger::kUnaccounted,
-      StagePolicy{},
-      [](int site) {
-        return std::vector<WireMessage>{
-            MakeMessage(MessageType::kCandidateEstimates,
-                        EncodeEstimates({static_cast<double>(site)}))};
-      },
-      collector.Consumer(4));
-  EXPECT_TRUE(result.complete());
-  EXPECT_EQ(collector.arrival_order, (std::vector<int>{0, 1, 2, 3}));
-  for (int site = 0; site < 4; ++site) {
-    ASSERT_EQ(collector.batches[site].size(), 1u);
-  }
-}
-
-TEST(SimulatedClusterTest, RunsEverySiteExactlyOnce) {
-  SimulatedCluster cluster(5);
-  std::atomic<int> calls{0};
-  std::vector<std::atomic<int>> per_site(5);
-  StageRun run = cluster.RunStage([&](int site) {
-    ++calls;
-    ++per_site[site];
+  StageSnapshot snap = RunFreshStage(2, plan, policy, 0, [](int site) {
+    return std::vector<WireMessage>{
+        MakeMessage(MessageType::kCandidateEstimates,
+                    EncodeEstimates({static_cast<double>(site)}))};
   });
-  EXPECT_EQ(calls.load(), 5);
-  for (int s = 0; s < 5; ++s) EXPECT_EQ(per_site[s].load(), 1);
-  ASSERT_EQ(run.site_millis.size(), 5u);
-  EXPECT_GE(run.max_millis, 0.0);
+  EXPECT_FALSE(snap.result.complete());
+  EXPECT_TRUE(snap.result.sites[0].ok);
+  ASSERT_EQ(snap.result.messages[0].size(), 1u);
+  EXPECT_FALSE(snap.result.sites[1].ok);
+  EXPECT_TRUE(snap.result.messages[1].empty());
 }
 
-TEST(SimulatedClusterTest, MaxMillisIsSlowestSite) {
-  SimulatedCluster cluster(3);
-  StageRun run = cluster.RunStage([&](int site) {
+TEST(ExecuteStageTest, RunsEverySiteFunctionAtMostOnce) {
+  // Retries re-ship the buffered bytes and a hedge re-delivers them, so the
+  // site function runs exactly once per live site even when every attempt
+  // is lost.
+  FaultPlan plan;
+  plan.site_overrides[2].straggler = true;
+  plan.site_overrides[4].crash_at_stage = 0;
+  StagePolicy policy;
+  policy.max_attempts = 3;
+  std::vector<std::atomic<int>> per_site(5);
+  StageSnapshot snap = RunFreshStage(5, plan, policy, 0, [&](int site) {
+    ++per_site[site];
+    return std::vector<WireMessage>{};
+  });
+  EXPECT_TRUE(snap.result.complete());
+  EXPECT_EQ(snap.result.sites[2].attempts, 3);
+  EXPECT_TRUE(snap.result.sites[2].hedged);
+  EXPECT_TRUE(snap.result.sites[4].crashed);
+  EXPECT_TRUE(snap.result.sites[4].hedged);
+  // The crashed site never ran remotely; its hedge ran the replica once.
+  for (int s = 0; s < 5; ++s) EXPECT_EQ(per_site[s].load(), 1) << s;
+  ASSERT_EQ(snap.result.run.site_millis.size(), 5u);
+  EXPECT_GE(snap.result.run.max_millis, 0.0);
+}
+
+TEST(ExecuteStageTest, MaxMillisIsSlowestSite) {
+  StageSnapshot snap = RunFreshStage(3, FaultPlan{}, StagePolicy{}, 0,
+                                     [](int site) {
     // Site 2 does measurable work; others return immediately.
     if (site == 2) {
       volatile uint64_t x = 0;
@@ -482,11 +438,12 @@ TEST(SimulatedClusterTest, MaxMillisIsSlowestSite) {
         x = x + static_cast<uint64_t>(i);
       }
     }
+    return std::vector<WireMessage>{};
   });
-  double max_observed = 0;
-  for (double ms : run.site_millis) max_observed = std::max(max_observed, ms);
-  EXPECT_DOUBLE_EQ(run.max_millis, max_observed);
-  EXPECT_GE(run.site_millis[2], run.site_millis[0]);
+  const StageRun& run = snap.result.run;
+  EXPECT_DOUBLE_EQ(run.max_millis, *std::max_element(run.site_millis.begin(),
+                                                     run.site_millis.end()));
+  EXPECT_GE(run.exec_millis[2], run.exec_millis[0]);
 }
 
 }  // namespace

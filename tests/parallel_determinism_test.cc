@@ -18,6 +18,7 @@
 #include "core/pruning.h"
 #include "partition/partitioners.h"
 #include "store/matcher.h"
+#include "tests/join_graph_reference.h"
 #include "tests/test_fixtures.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -25,6 +26,8 @@
 namespace gstored {
 namespace {
 
+using ::gstored::testing::BuildGroupJoinGraphAllPairs;
+using ::gstored::testing::BuildJoinGraphAllPairs;
 using ::gstored::testing::EnumerateAllLpms;
 using ::gstored::testing::RandomConnectedQuery;
 using ::gstored::testing::RandomDataset;
@@ -208,34 +211,6 @@ TEST_P(ParallelDeterminism, EngineResultsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_P(ParallelDeterminism, StreamingByteIdenticalAcrossThreadCounts) {
-  // The pipelined transport path under the same sweep: streaming at any
-  // thread count must equal the drained single-thread baseline — arrival
-  // order may differ run to run, the folded outcome may not.
-  const DetScenario& s = GetParam();
-  Rng rng(s.seed);
-  auto dataset = RandomDataset(rng, s.vertices, s.edges, s.predicates);
-  QueryGraph query = RandomConnectedQuery(rng, *dataset, s.query_vertices,
-                                          s.query_edges);
-  Partitioning partitioning = HashPartitioner().Partition(*dataset, 3);
-
-  for (EngineMode mode : {EngineMode::kLecAssembly, EngineMode::kFull}) {
-    std::vector<Binding> baseline;
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      EngineOptions options;
-      options.num_threads = threads;
-      DistributedEngine engine(&partitioning, options);
-      if (threads == 1) {
-        baseline = engine.Run({query, mode}).matches;
-      }
-      QueryRequest request(query, mode);
-      request.streaming = true;
-      EXPECT_EQ(engine.Run(request).matches, baseline)
-          << "threads=" << threads << " mode=" << EngineModeName(mode);
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ParallelDeterminism,
     ::testing::ValuesIn(::gstored::testing::kReferenceScenarios));
@@ -252,7 +227,7 @@ TEST(GroupJoinGraphTest, IndexedEqualsAllPairsOnRandomLpmSets) {
 
     std::vector<LocalPartialMatch> lpms =
         EnumerateAllLpms(partitioning, rq);
-    auto groups = GroupLpmsBySign(lpms);
+    auto groups = GroupBySign(lpms);
 
     AssemblyStats indexed_stats;
     AssemblyStats all_pairs_stats;
@@ -269,8 +244,9 @@ TEST(GroupJoinGraphTest, IndexedEqualsAllPairsOnRandomLpmSets) {
 }
 
 /// Same equivalence for the pruning side: over LEC features, the indexed
-/// join graph and the all-pairs reference must yield the same adjacency —
-/// and therefore the same surviving set — with no more probes.
+/// join graph must equal the all-pairs reference — and therefore yield the
+/// same surviving set — with no more probes, and LecFeaturePruning must
+/// report that graph.
 TEST(FeatureJoinGraphTest, IndexedEqualsAllPairsOnRandomFeatureSets) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     Rng rng(seed * 6151);
@@ -282,18 +258,23 @@ TEST(FeatureJoinGraphTest, IndexedEqualsAllPairsOnRandomFeatureSets) {
     std::vector<LocalPartialMatch> lpms =
         EnumerateAllLpms(partitioning, rq);
     LecFeatureSet set = ComputeLecFeatures(lpms);
+    auto groups = GroupBySign(set.features);
 
-    PruneOptions indexed_options;
-    PruneOptions all_pairs_options;
-    all_pairs_options.use_indexed_join_graph = false;
-    PruneResult indexed =
-        LecFeaturePruning(set.features, query.num_vertices(), indexed_options);
-    PruneResult all_pairs = LecFeaturePruning(
-        set.features, query.num_vertices(), all_pairs_options);
-    EXPECT_EQ(indexed.survives, all_pairs.survives) << "seed=" << seed;
-    EXPECT_EQ(indexed.num_join_graph_edges, all_pairs.num_join_graph_edges)
+    JoinGraphStats indexed_stats;
+    JoinGraphStats all_pairs_stats;
+    auto indexed = BuildJoinGraphIndexed(set.features, groups, &indexed_stats);
+    auto all_pairs =
+        BuildJoinGraphAllPairs(set.features, groups, &all_pairs_stats);
+    EXPECT_EQ(indexed, all_pairs) << "seed=" << seed;
+    EXPECT_EQ(indexed_stats.num_edges, all_pairs_stats.num_edges)
         << "seed=" << seed;
-    EXPECT_LE(indexed.join_attempts, all_pairs.join_attempts)
+    EXPECT_LE(indexed_stats.join_attempts, all_pairs_stats.join_attempts)
+        << "seed=" << seed;
+
+    PruneResult pruned =
+        LecFeaturePruning(set.features, query.num_vertices());
+    EXPECT_EQ(pruned.num_groups, groups.size()) << "seed=" << seed;
+    EXPECT_EQ(pruned.num_join_graph_edges, all_pairs_stats.num_edges)
         << "seed=" << seed;
   }
 }
