@@ -233,7 +233,7 @@ void BM_FullEngineExecuteThreads(benchmark::State& state) {
 BENCHMARK(BM_FullEngineExecuteThreads)->Arg(1)->Arg(4);
 
 /// Async-transport fault/latency row (PR 6). BM_FullEngineExecuteThreads
-/// above is the *no-fault* row: since PR 6 it runs the mailbox transport
+/// above is the *no-fault* row: it runs the message-passing transport
 /// (serialization, done markers, wire-size ledger accounting), so its delta
 /// against the same row in BENCH_pr5.json — the old synchronous RunStage
 /// barrier — is the pure transport overhead, and it must stay inside the CI

@@ -191,14 +191,4 @@ CandidateExchange ExchangeInternalCandidates(
                                     options);
 }
 
-CandidateExchange ExchangeInternalCandidates(
-    const Partitioning& partitioning,
-    const std::vector<const LocalStore*>& stores, const ResolvedQuery& rq,
-    SimulatedCluster& cluster, size_t filter_bits) {
-  CandidateExchangeOptions options;
-  options.filter_bits = filter_bits;
-  return ExchangeInternalCandidates(partitioning, stores, rq, cluster,
-                                    options);
-}
-
 }  // namespace gstored

@@ -99,12 +99,6 @@ CandidateExchange ExchangeInternalCandidates(
     const std::vector<const LocalStore*>& stores, const ResolvedQuery& rq,
     SimulatedCluster& cluster, const CandidateExchangeOptions& options = {});
 
-/// Back-compat convenience overload: filter length only, defaults otherwise.
-CandidateExchange ExchangeInternalCandidates(
-    const Partitioning& partitioning,
-    const std::vector<const LocalStore*>& stores, const ResolvedQuery& rq,
-    SimulatedCluster& cluster, size_t filter_bits);
-
 }  // namespace gstored
 
 #endif  // GSTORED_CORE_CANDIDATE_EXCHANGE_H_

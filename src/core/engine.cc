@@ -31,10 +31,7 @@ void DedupBindings(std::vector<Binding>* bindings) {
 
 DistributedEngine::DistributedEngine(const Partitioning* partitioning,
                                      EngineOptions options)
-    : partitioning_(partitioning),
-      options_(std::move(options)),
-      cluster_(static_cast<int>(partitioning->num_fragments()),
-               options_.fault_plan) {
+    : partitioning_(partitioning), options_(std::move(options)) {
   GSTORED_CHECK(partitioning != nullptr);
   stores_.reserve(partitioning_->num_fragments());
   for (const Fragment& fragment : partitioning_->fragments()) {
@@ -69,15 +66,10 @@ QueryOutcome DistributedEngine::Run(const QueryRequest& request) const {
   if (request.context != nullptr) {
     return RunInternal(request, *request.context);
   }
-  // The context-free form owns the built-in cluster session exclusively, so
-  // resetting its ledger between queries is safe (and preserves the
-  // pre-serving-layer semantics the integration tests assert). This path is
-  // documented single-query-at-a-time; concurrent callers bring their own
-  // QueryContext.
-  cluster_.ledger().Reset();
+  SimulatedCluster session(num_sites(), options_.fault_plan);
   QueryContext ctx;
-  ctx.ledger = &cluster_.ledger();
-  ctx.transport = &cluster_.transport();
+  ctx.ledger = &session.ledger();
+  ctx.transport = &session.transport();
   return RunInternal(request, ctx);
 }
 

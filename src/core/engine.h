@@ -38,14 +38,14 @@ const char* EngineModeName(EngineMode mode);
 struct EngineOptions {
   /// Worker slots each site may use for its local matching and LPM
   /// enumeration, and the coordinator for the LEC pruning and assembly
-  /// joins (1 = fully serial). Slots are borrowed from the cluster's shared
-  /// intra-site pool, so effective parallelism is bounded by the hardware
-  /// regardless of the number of sites; results are byte-identical across
-  /// thread counts. The knob is a ceiling, not a fixed fan-out: each site
-  /// scales it to its fragment size (SiteSlotBudget), and the coordinator
-  /// joins scale it to the seed-group size (JoinSlotBudget via
-  /// AssemblyOptions/PruneOptions::min_seeds_per_slot), so small inputs
-  /// skip pool coordination.
+  /// joins (1 = fully serial). Slots are borrowed from `pool` below (by
+  /// default the process-wide shared pool), so effective parallelism is
+  /// bounded by the hardware regardless of the number of sites; results
+  /// are byte-identical across thread counts. The knob is a ceiling, not a
+  /// fixed fan-out: each site scales it to its fragment size
+  /// (SiteSlotBudget), and the coordinator joins scale it to the seed-group
+  /// size (JoinSlotBudget via AssemblyOptions/PruneOptions::
+  /// min_seeds_per_slot), so small inputs skip pool coordination.
   size_t num_threads = 1;
 
   /// Worker pool the slots above are borrowed from; nullptr = the
@@ -197,11 +197,10 @@ struct QueryOutcome {
 /// is the single entry into DistributedEngine::Run (the pre-PR-8
 /// ExecuteQuery/Execute overload set is gone).
 ///
-/// `context == nullptr` runs over the engine's built-in cluster session
-/// (single query at a time, ledger reset on entry — the old
-/// ExecuteQuery(query, mode, stats) behavior); a non-null context supplies
-/// the transport session, slot budget, plan artifacts and cache hooks, and
-/// any number of such requests may run concurrently over one engine.
+/// `context == nullptr` runs over a fresh transport session that the call
+/// builds and frees; a non-null context supplies the transport session,
+/// slot budget, plan artifacts and cache hooks. Either way any number of
+/// requests may run concurrently over one engine.
 ///
 /// `cancel` / `deadline_ms` are request-scoped and combined (OR) with the
 /// context's own admission fields, so a caller can bound a query without
@@ -225,17 +224,17 @@ struct QueryRequest {
 
 /// The distributed SPARQL engine over a simulated cluster: one site per
 /// fragment, a coordinator, and the four optimization levels above. All
-/// coordinator<->site traffic rides a mailbox transport (net/transport.h)
+/// coordinator<->site traffic rides the cluster transport (net/transport.h)
 /// as typed wire messages; the fault plan in EngineOptions makes the
 /// transport drop, delay, duplicate and reorder them deterministically.
 ///
 /// The engine itself is a stateless facade over shared immutable state —
 /// the partitioning's fragments, one LocalStore (CSR graph + statistics)
 /// per fragment, and the options. All per-query mutable state lives in a
-/// QueryContext, so Run() is const and any number of context-carrying
-/// requests can run concurrently over one engine (the serving layer in
-/// src/serve/ does exactly that). A request without a context runs one
-/// query at a time over the engine's built-in cluster session.
+/// QueryContext, so Run() is const and any number of requests can run
+/// concurrently over one engine (the serving layer in src/serve/ does
+/// exactly that). A request without a context gets its own session for the
+/// duration of the call.
 ///
 /// The partitioning (and the dataset behind it) must outlive the engine.
 class DistributedEngine {
@@ -251,16 +250,15 @@ class DistributedEngine {
   /// exact-vs-partial flag, per-site completeness and the per-stage stats.
   /// Star queries take the local-only fast path regardless of mode (Sec.
   /// VIII-B). With a context, the engine never resets the context's ledger
-  /// (a fresh QuerySession starts at zero) and concurrent calls with
-  /// distinct contexts are thread-safe; without one, the built-in cluster's
-  /// ledger is reset on entry and calls must not overlap.
+  /// (a fresh SimulatedCluster starts at zero); without one, the call runs
+  /// over a fresh SimulatedCluster built from options().fault_plan.
+  /// Concurrent calls are thread-safe as long as no two share a context.
   QueryOutcome Run(const QueryRequest& request) const;
 
   const Partitioning& partitioning() const { return *partitioning_; }
   const LocalStore& store(int site) const { return *stores_[site]; }
   int num_sites() const { return static_cast<int>(stores_.size()); }
   const EngineOptions& options() const { return options_; }
-  SimulatedCluster& cluster() const { return cluster_; }
 
  private:
   QueryOutcome RunInternal(const QueryRequest& request,
@@ -269,10 +267,6 @@ class DistributedEngine {
   const Partitioning* partitioning_;
   EngineOptions options_;
   std::vector<std::unique_ptr<LocalStore>> stores_;
-  /// Built-in single-query session for context-free requests. Mutable so
-  /// the const Run() facade can reset its ledger for that (documented
-  /// one-at-a-time) convenience path.
-  mutable SimulatedCluster cluster_;
 };
 
 /// Deduplicates a set of bindings in place (sort + unique).

@@ -34,7 +34,7 @@ class CancelToken {
 };
 
 /// Everything one in-flight query needs that is not shared immutable state:
-/// its transport session (ledger + mailboxes), its slot budget, its
+/// its transport session (ledger + transport), its slot budget, its
 /// deadline/cancellation, and the plan artifacts a plan cache may have
 /// precomputed for its template. DistributedEngine::Run is const — all
 /// per-query mutable state lives here, so any number of contexts can run
@@ -46,8 +46,8 @@ class CancelToken {
 /// replayed order changes enumeration cost, never the result.
 struct QueryContext {
   // ---- Transport session (required). Each concurrent query runs over its
-  // own ledger + transport (see QuerySession); sharing one across queries
-  // would interleave their mailbox traffic and tear the byte accounting.
+  // own ledger + transport (one SimulatedCluster, net/cluster.h); sharing
+  // one across queries would tear the byte accounting.
   ShipmentLedger* ledger = nullptr;
   Transport* transport = nullptr;
 
@@ -105,19 +105,6 @@ struct QueryContext {
     if (cancel != nullptr && cancel->cancelled()) return true;
     return deadline_ms >= 0.0 && elapsed_ms > deadline_ms;
   }
-};
-
-/// One query's private transport session: a fresh ledger plus an
-/// InProcessTransport stamped with the query's session id. Concurrent
-/// queries each own one, so their traffic, fault draws and byte accounting
-/// never interleave.
-struct QuerySession {
-  explicit QuerySession(int num_sites, FaultPlan plan = {},
-                        uint32_t session_id = 0)
-      : transport(num_sites, &ledger, std::move(plan), session_id) {}
-
-  ShipmentLedger ledger;
-  InProcessTransport transport;
 };
 
 }  // namespace gstored

@@ -2,7 +2,6 @@
 
 #include "net/transport.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace gstored {
 
@@ -68,17 +67,15 @@ void ShipmentLedger::Reset() {
   for (auto& c : counters_) c.store(0, std::memory_order_relaxed);
 }
 
-SimulatedCluster::SimulatedCluster(int num_sites, FaultPlan fault_plan)
+SimulatedCluster::SimulatedCluster(int num_sites, FaultPlan fault_plan,
+                                   uint32_t session_id)
     : num_sites_(num_sites),
-      transport_(std::make_unique<InProcessTransport>(num_sites, &ledger_,
-                                                      std::move(fault_plan))) {
+      transport_(std::make_unique<Transport>(num_sites, &ledger_,
+                                             std::move(fault_plan),
+                                             session_id)) {
   GSTORED_CHECK_GT(num_sites, 0);
 }
 
 SimulatedCluster::~SimulatedCluster() = default;
-
-ThreadPool& SimulatedCluster::intra_site_pool() const {
-  return ThreadPool::Shared();
-}
 
 }  // namespace gstored

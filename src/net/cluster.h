@@ -13,8 +13,7 @@
 
 namespace gstored {
 
-class ThreadPool;
-class InProcessTransport;
+class Transport;
 
 /// Thread-safe ledger of simulated network traffic, the stand-in for the
 /// paper's MPI layer. Every byte a site would put on the wire is recorded
@@ -88,13 +87,18 @@ struct StageRun {
   double max_millis = 0.0;
 };
 
-/// The simulated cluster: a fixed number of sites plus a coordinator,
-/// communicating through an in-process mailbox transport (net/transport.h)
-/// that serializes every message, accounts wire-format bytes to the ledger,
-/// and injects deterministic faults from a seeded FaultPlan.
+/// One transport session over the simulated cluster: a fixed number of
+/// sites plus a coordinator, a fresh ledger, and the transport
+/// (net/transport.h) that serializes every message, accounts wire-format
+/// bytes to that ledger, and injects deterministic faults from a seeded
+/// FaultPlan. Each query runs over its own session (the engine builds one
+/// per context-free Run, the serving scheduler one per executed query), so
+/// concurrent queries never share traffic or byte accounting; `session_id`
+/// stamps the session's messages.
 class SimulatedCluster {
  public:
-  explicit SimulatedCluster(int num_sites, FaultPlan fault_plan = {});
+  explicit SimulatedCluster(int num_sites, FaultPlan fault_plan = {},
+                            uint32_t session_id = 0);
   ~SimulatedCluster();
 
   SimulatedCluster(const SimulatedCluster&) = delete;
@@ -105,23 +109,13 @@ class SimulatedCluster {
   ShipmentLedger& ledger() { return ledger_; }
   const ShipmentLedger& ledger() const { return ledger_; }
 
-  /// The mailbox transport carrying all coordinator<->site messages.
-  InProcessTransport& transport() const { return *transport_; }
-
-  /// Worker pool for intra-site parallelism (parallel matching / LPM
-  /// enumeration inside one site) and for the coordinator-side assembly
-  /// join, which runs after the per-site stages have drained. All sites of
-  /// all clusters share one process-wide pool sized to the hardware, so
-  /// per-site worker slots compose with the per-site stage fan-out
-  /// without oversubscribing: a participant's ParallelFor borrows whatever
-  /// workers are free and its own calling thread always contributes one
-  /// slot.
-  ThreadPool& intra_site_pool() const;
+  /// The transport carrying all coordinator<->site messages.
+  Transport& transport() const { return *transport_; }
 
  private:
   int num_sites_;
   ShipmentLedger ledger_;
-  std::unique_ptr<InProcessTransport> transport_;
+  std::unique_ptr<Transport> transport_;
 };
 
 }  // namespace gstored

@@ -9,23 +9,6 @@
 
 namespace gstored {
 
-void Mailbox::Push(DeliveredMessage msg) {
-  std::lock_guard<std::mutex> lock(mu_);
-  queue_.push_back(std::move(msg));
-}
-
-std::vector<DeliveredMessage> Mailbox::Drain() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<DeliveredMessage> out;
-  out.swap(queue_);
-  return out;
-}
-
-size_t Mailbox::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 bool StageResult::complete() const {
   for (const SiteStageReport& s : sites) {
     if (!s.ok) return false;
@@ -51,6 +34,51 @@ size_t StageResult::hedged_sites() const {
 
 namespace {
 
+/// A message as observed by the coordinator: payload plus its virtual
+/// arrival time (injected latency + retry backoff; nothing actually sleeps).
+struct DeliveredMessage {
+  WireMessage msg;
+  double arrival_ms = 0.0;
+};
+
+/// Ships one attempt of a site's stamped send buffer (payloads + done
+/// marker), restamping only the attempt header, and returns the
+/// coordinator-side inbox in arrival order. This is the channel: it applies
+/// the send-side faults (drop, duplicate, latency stamps, and with
+/// `plan.reorder` a scrambled arrival order) and accounts every byte put on
+/// the wire; `base_offset_ms` shifts arrival times by the accumulated
+/// backoff.
+std::vector<DeliveredMessage> ShipBuffered(
+    const FaultPlan& plan, ShipmentLedger& ledger, int site, uint32_t stage,
+    uint32_t attempt, const std::vector<WireMessage>& buffer,
+    ShipmentLedger::StageId ledger_stage, double base_offset_ms) {
+  std::vector<DeliveredMessage> inbox;
+  for (const WireMessage& stamped : buffer) {
+    WireMessage msg = stamped;
+    msg.attempt = attempt;
+    // Bytes hit the wire whether or not the message survives the trip, and
+    // a duplicated message is shipped twice — the ledger counts both, since
+    // the paper's shipment metric measures traffic, not goodput.
+    const bool dup = plan.Duplicate(site, stage, attempt, msg.seq, false);
+    ledger.Add(ledger_stage, msg.WireSize() * (dup ? 2 : 1));
+    if (plan.Drop(site, stage, attempt, msg.seq, false)) continue;
+    DeliveredMessage delivered;
+    delivered.arrival_ms =
+        base_offset_ms + plan.LatencyMs(site, stage, attempt, msg.seq, false);
+    delivered.msg = std::move(msg);
+    if (dup) inbox.push_back(delivered);
+    inbox.push_back(std::move(delivered));
+  }
+  if (plan.reorder) {
+    std::sort(inbox.begin(), inbox.end(),
+              [&](const DeliveredMessage& a, const DeliveredMessage& b) {
+                return plan.ReorderKey(site, stage, a.msg.attempt, a.msg.seq) <
+                       plan.ReorderKey(site, stage, b.msg.attempt, b.msg.seq);
+              });
+  }
+  return inbox;
+}
+
 /// One site's reassembled view of a single attempt: the inbox deduplicated
 /// by sequence number and restored to sequence order (the done marker still
 /// in place), with the done-marker completeness check applied.
@@ -60,17 +88,8 @@ struct ReassembledAttempt {
   std::vector<DeliveredMessage> inbox;
 };
 
-ReassembledAttempt ReassembleSiteAttempt(const FaultPlan& plan, int site,
-                                         uint32_t stage,
-                                         std::vector<DeliveredMessage> inbox) {
+ReassembledAttempt ReassembleSiteAttempt(std::vector<DeliveredMessage> inbox) {
   ReassembledAttempt out;
-  if (plan.reorder) {
-    std::sort(inbox.begin(), inbox.end(),
-              [&](const DeliveredMessage& a, const DeliveredMessage& b) {
-                return plan.ReorderKey(site, stage, a.msg.attempt, a.msg.seq) <
-                       plan.ReorderKey(site, stage, b.msg.attempt, b.msg.seq);
-              });
-  }
   // Deduplicate by sequence number and restore sequence order — this is
   // what makes duplication and reordering invisible to the pipeline.
   std::sort(inbox.begin(), inbox.end(),
@@ -114,45 +133,17 @@ ReassembledAttempt ReassembleSiteAttempt(const FaultPlan& plan, int site,
 
 }  // namespace
 
-InProcessTransport::InProcessTransport(int num_sites, ShipmentLedger* ledger,
-                                       FaultPlan plan, uint32_t session_id)
+Transport::Transport(int num_sites, ShipmentLedger* ledger, FaultPlan plan,
+                     uint32_t session_id)
     : num_sites_(num_sites),
       ledger_(ledger),
       plan_(std::move(plan)),
       session_id_(session_id) {
   GSTORED_CHECK_GT(num_sites, 0);
   GSTORED_CHECK(ledger != nullptr);
-  site_boxes_.reserve(num_sites_);
-  for (int i = 0; i < num_sites_; ++i) {
-    site_boxes_.push_back(std::make_unique<Mailbox>());
-  }
 }
 
-void InProcessTransport::ShipBuffered(int site, uint32_t stage,
-                                      uint32_t attempt,
-                                      const std::vector<WireMessage>& buffer,
-                                      ShipmentLedger::StageId ledger_stage,
-                                      double base_offset_ms,
-                                      std::vector<DeliveredMessage>* dest) {
-  for (const WireMessage& stamped : buffer) {
-    WireMessage msg = stamped;
-    msg.attempt = attempt;
-    // Bytes hit the wire whether or not the message survives the trip, and
-    // a duplicated message is shipped twice — the ledger counts both, since
-    // the paper's shipment metric measures traffic, not goodput.
-    const bool dup = plan_.Duplicate(site, stage, attempt, msg.seq, false);
-    ledger_->Add(ledger_stage, msg.WireSize() * (dup ? 2 : 1));
-    if (plan_.Drop(site, stage, attempt, msg.seq, false)) continue;
-    DeliveredMessage delivered;
-    delivered.arrival_ms =
-        base_offset_ms + plan_.LatencyMs(site, stage, attempt, msg.seq, false);
-    delivered.msg = std::move(msg);
-    if (dup) dest->push_back(delivered);
-    dest->push_back(std::move(delivered));
-  }
-}
-
-StageResult InProcessTransport::ExecuteStage(
+StageResult Transport::ExecuteStage(
     uint32_t stage, ShipmentLedger::StageId ledger_stage,
     const StagePolicy& policy,
     const std::function<std::vector<WireMessage>(int site)>& site_fn) {
@@ -160,7 +151,11 @@ StageResult InProcessTransport::ExecuteStage(
   StageResult result;
   result.sites.assign(num_sites_, SiteStageReport{});
   result.messages.assign(num_sites_, {});
-  std::vector<double> exec_ms(num_sites_, 0.0);
+  // Each site thread writes only its own slot of the timing vectors.
+  std::vector<double>& queue_wait_ms = result.run.queue_wait_millis;
+  std::vector<double>& exec_ms = result.run.exec_millis;
+  queue_wait_ms.assign(num_sites_, 0.0);
+  exec_ms.assign(num_sites_, 0.0);
 
   // One thread per site runs that site's entire attempt loop against a
   // private inbox, so deadlines, backoff and hedging fire per site. All
@@ -201,15 +196,14 @@ StageResult InProcessTransport::ExecuteStage(
       for (int attempt = 0; attempt < policy.max_attempts && !report.ok;
            ++attempt) {
         report.attempts = attempt + 1;
-        std::vector<DeliveredMessage> inbox;
-        ShipBuffered(site, stage, static_cast<uint32_t>(attempt), buffer,
-                     ledger_stage, backoff, &inbox);
-        ReassembledAttempt r =
-            ReassembleSiteAttempt(plan_, site, stage, std::move(inbox));
+        ReassembledAttempt r = ReassembleSiteAttempt(
+            ShipBuffered(plan_, *ledger_, site, stage,
+                         static_cast<uint32_t>(attempt), buffer, ledger_stage,
+                         backoff));
         if (r.all_arrived &&
             r.last_arrival <= policy.deadline_ms + backoff) {
           report.ok = true;
-          report.queue_wait_ms += r.last_arrival;
+          queue_wait_ms[site] += r.last_arrival;
           for (DeliveredMessage& d : r.inbox) {
             if (d.msg.type != MessageType::kStageDone) {
               delivered.push_back(std::move(d.msg));
@@ -219,7 +213,7 @@ StageResult InProcessTransport::ExecuteStage(
           // Blown deadline: the coordinator waited the full window, then
           // backs off before redispatching.
           double next_backoff = policy.backoff_ms * std::ldexp(1.0, attempt);
-          report.queue_wait_ms += policy.deadline_ms + next_backoff;
+          queue_wait_ms[site] += policy.deadline_ms + next_backoff;
           backoff += policy.deadline_ms + next_backoff;
         }
       }
@@ -244,21 +238,15 @@ StageResult InProcessTransport::ExecuteStage(
   for (std::thread& t : threads) t.join();
 
   result.run.site_millis.assign(num_sites_, 0.0);
-  result.run.queue_wait_millis.assign(num_sites_, 0.0);
-  result.run.exec_millis.assign(num_sites_, 0.0);
   for (int site = 0; site < num_sites_; ++site) {
-    result.run.queue_wait_millis[site] = result.sites[site].queue_wait_ms;
-    result.run.exec_millis[site] = exec_ms[site];
-    result.sites[site].exec_ms = exec_ms[site];
-    result.run.site_millis[site] =
-        result.sites[site].queue_wait_ms + exec_ms[site];
+    result.run.site_millis[site] = queue_wait_ms[site] + exec_ms[site];
   }
   result.run.max_millis = *std::max_element(result.run.site_millis.begin(),
                                             result.run.site_millis.end());
   return result;
 }
 
-std::vector<bool> InProcessTransport::BroadcastReliable(
+std::vector<bool> Transport::BroadcastReliable(
     uint32_t stage, ShipmentLedger::StageId ledger_stage,
     const StagePolicy& policy,
     const std::function<WireMessage(int site)>& make_msg) {
@@ -272,16 +260,10 @@ std::vector<bool> InProcessTransport::BroadcastReliable(
         all = false;
         continue;
       }
-      WireMessage msg = make_msg(site);
-      msg.sender = -1;
-      msg.session = session_id_;
-      msg.stage = stage;
-      msg.attempt = static_cast<uint32_t>(attempt);
-      msg.seq = 0;
       const bool dup =
           plan_.Duplicate(site, stage, static_cast<uint32_t>(attempt), 0,
                           /*to_site=*/true);
-      ledger_->Add(ledger_stage, msg.WireSize() * (dup ? 2 : 1));
+      ledger_->Add(ledger_stage, make_msg(site).WireSize() * (dup ? 2 : 1));
       if (plan_.Drop(site, stage, static_cast<uint32_t>(attempt), 0,
                      /*to_site=*/true)) {
         all = false;
@@ -294,10 +276,6 @@ std::vector<bool> InProcessTransport::BroadcastReliable(
         all = false;
         continue;
       }
-      DeliveredMessage d;
-      d.arrival_ms = arrival;
-      d.msg = std::move(msg);
-      site_boxes_[site]->Push(std::move(d));
       delivered[site] = true;
     }
     if (all) break;

@@ -2,8 +2,6 @@
 #define GSTORED_NET_TRANSPORT_H_
 
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "net/cluster.h"
@@ -11,26 +9,6 @@
 #include "net/wire.h"
 
 namespace gstored {
-
-/// A message as observed by a receiver: payload plus its virtual arrival
-/// time (injected latency + retry backoff; nothing actually sleeps).
-struct DeliveredMessage {
-  WireMessage msg;
-  double arrival_ms = 0.0;
-};
-
-/// A thread-safe FIFO of delivered messages: the transport owns one mailbox
-/// per site for coordinator -> site broadcasts.
-class Mailbox {
- public:
-  void Push(DeliveredMessage msg);
-  std::vector<DeliveredMessage> Drain();
-  size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<DeliveredMessage> queue_;
-};
 
 /// Deadline/retry/hedging knobs of one coordinator-driven stage. All times
 /// are virtual milliseconds compared against injected latencies, never
@@ -65,8 +43,6 @@ struct SiteStageReport {
   bool hedged = false;   ///< recovered by local re-execution
   bool crashed = false;  ///< the fault plan had the site dead for this stage
   int attempts = 0;      ///< dispatch attempts consumed (>= 1)
-  double queue_wait_ms = 0.0;  ///< injected latency + deadlines + backoff
-  double exec_ms = 0.0;        ///< real compute wall-clock across attempts
 };
 
 /// Result of one coordinator-driven stage over all sites.
@@ -85,14 +61,23 @@ struct StageResult {
   size_t hedged_sites() const;
 };
 
-/// The async cluster transport: per-site mailboxes carrying typed serialized
-/// messages whose wire sizes feed the ShipmentLedger. Implementations must
-/// be deterministic under a seeded FaultPlan.
+/// The cluster transport: typed serialized messages between the coordinator
+/// and the sites, whose wire sizes feed the ShipmentLedger. Real threads per
+/// site, virtual time for faults. Deterministic given the FaultPlan — thread
+/// scheduling decides only when a site finishes, while every decision about
+/// its messages (drop/duplicate/latency/reorder draws, sequence reassembly,
+/// deadline comparisons) is a pure function of the plan, so the stage
+/// results, ledger byte counts and query outcomes replay byte-identically.
 class Transport {
  public:
-  virtual ~Transport() = default;
+  /// `session_id` stamps every message this transport sends — concurrent
+  /// queries each run over their own transport instance (own ledger), and
+  /// the session id makes their traffic distinguishable on the wire, as a
+  /// shared socket transport would require.
+  Transport(int num_sites, ShipmentLedger* ledger, FaultPlan plan = {},
+            uint32_t session_id = 0);
 
-  virtual int num_sites() const = 0;
+  int num_sites() const { return num_sites_; }
 
   /// Runs one coordinator-driven stage: every site executes `site_fn`
   /// concurrently and ships the returned messages to the coordinator; the
@@ -104,72 +89,27 @@ class Transport {
   /// paper's shipment metric). `site_fn` runs at most once per site, on that
   /// site's transport thread: retries re-ship its buffered bytes, and a
   /// hedge delivers them directly.
-  virtual StageResult ExecuteStage(
-      uint32_t stage, ShipmentLedger::StageId ledger_stage,
-      const StagePolicy& policy,
-      const std::function<std::vector<WireMessage>(int site)>& site_fn) = 0;
-
-  /// Reliable coordinator -> sites broadcast: sends `make_msg(site)` to each
-  /// site's mailbox, retrying undelivered sites up to policy.max_attempts.
-  /// Returns per-site delivery success; callers degrade gracefully for
-  /// sites that never received the broadcast (there is no local hedge for a
-  /// receive failure).
-  virtual std::vector<bool> BroadcastReliable(
-      uint32_t stage, ShipmentLedger::StageId ledger_stage,
-      const StagePolicy& policy,
-      const std::function<WireMessage(int site)>& make_msg) = 0;
-};
-
-/// The in-process implementation: real threads per site, virtual time for
-/// faults. Deterministic given the FaultPlan — thread scheduling decides
-/// only when a site finishes, while every decision about its messages
-/// (drop/duplicate/latency draws, sequence reassembly, deadline
-/// comparisons) is a pure function of the plan, so the stage results,
-/// ledger byte counts and query outcomes replay byte-identically.
-class InProcessTransport : public Transport {
- public:
-  /// `session_id` stamps every message this transport sends — concurrent
-  /// queries each run over their own transport instance (own mailboxes, own
-  /// ledger), and the session id makes their traffic distinguishable on the
-  /// wire, as a shared socket transport would require.
-  InProcessTransport(int num_sites, ShipmentLedger* ledger, FaultPlan plan = {},
-                     uint32_t session_id = 0);
-
-  int num_sites() const override { return num_sites_; }
-  const FaultPlan& plan() const { return plan_; }
-  ShipmentLedger& ledger() const { return *ledger_; }
-  uint32_t session_id() const { return session_id_; }
-
-  Mailbox& site_mailbox(int site) { return *site_boxes_[site]; }
-
   StageResult ExecuteStage(
       uint32_t stage, ShipmentLedger::StageId ledger_stage,
       const StagePolicy& policy,
-      const std::function<std::vector<WireMessage>(int site)>& site_fn)
-      override;
+      const std::function<std::vector<WireMessage>(int site)>& site_fn);
 
+  /// Reliable coordinator -> sites broadcast of `make_msg(site)`, retrying
+  /// undelivered sites up to policy.max_attempts. Every send is fault-drawn
+  /// and accounted; the message itself is not kept, because sites read the
+  /// broadcast state from coordinator memory. Returns per-site delivery
+  /// success; callers degrade gracefully for sites that never received the
+  /// broadcast (there is no local hedge for a receive failure).
   std::vector<bool> BroadcastReliable(
       uint32_t stage, ShipmentLedger::StageId ledger_stage,
       const StagePolicy& policy,
-      const std::function<WireMessage(int site)>& make_msg) override;
+      const std::function<WireMessage(int site)>& make_msg);
 
  private:
-  /// Ships one attempt of a site's stamped send buffer (payloads + done
-  /// marker) into the coordinator-side inbox `dest`, restamping only the
-  /// attempt header. Applies the send-side faults (drop, duplicate, latency
-  /// stamps) and accounts every byte put on the wire; `base_offset_ms`
-  /// shifts arrival times by the accumulated backoff.
-  void ShipBuffered(int site, uint32_t stage, uint32_t attempt,
-                    const std::vector<WireMessage>& buffer,
-                    ShipmentLedger::StageId ledger_stage,
-                    double base_offset_ms,
-                    std::vector<DeliveredMessage>* dest);
-
   int num_sites_;
   ShipmentLedger* ledger_;
   FaultPlan plan_;
   uint32_t session_id_ = 0;
-  std::vector<std::unique_ptr<Mailbox>> site_boxes_;
 };
 
 }  // namespace gstored

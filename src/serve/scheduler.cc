@@ -282,11 +282,12 @@ void ServingEngine::RunTicket(const std::shared_ptr<QueryTicket>& ticket) {
   // ---- Per-query session and context: fresh ledger + transport stamped
   // with a unique session id, the carved slot budget, and the caller's
   // deadline/cancellation.
-  QuerySession session(engine_->num_sites(), engine_->options().fault_plan,
-                       next_session_.fetch_add(1, std::memory_order_relaxed));
+  SimulatedCluster session(
+      engine_->num_sites(), engine_->options().fault_plan,
+      next_session_.fetch_add(1, std::memory_order_relaxed));
   QueryContext ctx;
-  ctx.ledger = &session.ledger;
-  ctx.transport = &session.transport;
+  ctx.ledger = &session.ledger();
+  ctx.transport = &session.transport();
   ctx.pool = options_.pool;
   const size_t active =
       std::max<size_t>(1, in_flight_.load(std::memory_order_relaxed));

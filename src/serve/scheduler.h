@@ -174,10 +174,10 @@ class QueryTicket {
 
 /// The serving layer: keeps many queries in flight over one (const)
 /// DistributedEngine — shared immutable fragments, per-query everything
-/// else. Each admitted query runs over its own QuerySession (fresh ledger +
-/// transport stamped with a unique session id) and a slot budget carved from
-/// `total_slots`, so concurrent queries never interleave traffic, tear byte
-/// accounting, or oversubscribe the pool.
+/// else. Each admitted query runs over its own SimulatedCluster (fresh
+/// ledger + transport stamped with a unique session id) and a slot budget
+/// carved from `total_slots`, so concurrent queries never interleave
+/// traffic, tear byte accounting, or oversubscribe the pool.
 ///
 /// Admission is lane-fair (one lane per client, chosen by the caller): each
 /// free dispatcher pops from the next non-empty lane after the last one

@@ -1,10 +1,14 @@
 // Integration tests of the DistributedEngine across modules: workload
 // queries vs the centralized oracle in every mode, statistics consistency
 // invariants, star fast-path behaviour, shipment accounting, impossible
-// queries, and robustness to degenerate partitionings (1 fragment, many
-// fragments).
+// queries, robustness to degenerate partitionings (1 fragment, many
+// fragments), and concurrent context-free runs over one engine.
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/engine.h"
 #include "store/matcher.h"
@@ -78,7 +82,9 @@ TEST(EngineIntegrationTest, StatsInvariants) {
   DistributedEngine engine(&p);
   QueryGraph query = testing::BuildPaperQuery();
 
-  const QueryStats& stats = engine.Run({query, EngineMode::kFull}).stats;
+  SimulatedCluster session(engine.num_sites());
+  const QueryStats stats =
+      testing::RunOnSession(engine, query, EngineMode::kFull, session).stats;
   EXPECT_FALSE(stats.star_shortcut);
   EXPECT_TRUE(stats.selective);
   EXPECT_GE(stats.num_lpms, stats.num_lpms_shipped);
@@ -89,11 +95,11 @@ TEST(EngineIntegrationTest, StatsInvariants) {
   EXPECT_GT(stats.lpm_shipment_bytes, 0u);
   EXPECT_GE(stats.total_time_ms, 0.0);
   // The ledger agrees with the per-stage stats.
-  EXPECT_EQ(engine.cluster().ledger().StageBytes(kCandidateStage),
+  EXPECT_EQ(session.ledger().StageBytes(kCandidateStage),
             stats.candidate_shipment_bytes);
-  EXPECT_EQ(engine.cluster().ledger().StageBytes(kLecFeatureStage),
+  EXPECT_EQ(session.ledger().StageBytes(kLecFeatureStage),
             stats.lec_shipment_bytes);
-  EXPECT_EQ(engine.cluster().ledger().StageBytes(kLpmShipmentStage),
+  EXPECT_EQ(session.ledger().StageBytes(kLpmShipmentStage),
             stats.lpm_shipment_bytes);
 }
 
@@ -122,10 +128,12 @@ TEST(EngineIntegrationTest, StarShortcutSkipsAllShipment) {
   DistributedEngine engine(&p);
   for (const BenchmarkQuery& bq : w.queries) {
     if (!bq.query.IsStar()) continue;
-    QueryOutcome outcome = engine.Run({bq.query, EngineMode::kFull});
+    SimulatedCluster session(engine.num_sites());
+    QueryOutcome outcome =
+        testing::RunOnSession(engine, bq.query, EngineMode::kFull, session);
     EXPECT_TRUE(outcome.stats.star_shortcut) << bq.name;
     EXPECT_EQ(outcome.stats.num_lpms, 0u);
-    EXPECT_EQ(engine.cluster().ledger().TotalBytes(), 0u);
+    EXPECT_EQ(session.ledger().TotalBytes(), 0u);
     EXPECT_EQ(outcome.matches, Oracle(*w.dataset, bq.query)) << bq.name;
   }
 }
@@ -213,6 +221,81 @@ TEST(EngineIntegrationTest, SelectiveQueriesShipFewerLpms) {
     const QueryStats lo = engine.Run({bq.query, EngineMode::kLecPruning}).stats;
     const QueryStats full = engine.Run({bq.query, EngineMode::kFull}).stats;
     EXPECT_LE(full.num_lpms, lo.num_lpms) << bq.name;
+  }
+}
+
+TEST(EngineIntegrationTest, ConcurrentContextFreeRunsMatchSerial) {
+  // A context-free Run builds and frees its own transport session, so the
+  // engine holds no per-query state: four threads running the same
+  // requests on one engine must each get exactly the serial outcome.
+  LubmConfig config;
+  config.universities = 2;
+  config.undergrad_students_per_dept = 12;
+  Workload w = MakeLubmWorkload(config);
+  Partitioning p = HashPartitioner().Partition(*w.dataset, 4);
+  DistributedEngine engine(&p);
+
+  std::vector<QueryRequest> requests;
+  for (const BenchmarkQuery& bq : w.queries) {
+    if (bq.name != "LQ1" && bq.name != "LQ7") continue;
+    for (EngineMode mode : {EngineMode::kBasic, EngineMode::kFull}) {
+      requests.emplace_back(bq.query, mode);
+    }
+  }
+  ASSERT_EQ(requests.size(), 4u);
+
+  std::vector<QueryOutcome> serial;
+  for (const QueryRequest& request : requests) {
+    serial.push_back(engine.Run(request));
+  }
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<QueryOutcome>> concurrent(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at a different request so the threads overlap
+      // on different queries and modes.
+      for (size_t i = 0; i < requests.size(); ++i) {
+        concurrent[t].push_back(
+            engine.Run(requests[(i + t) % requests.size()]));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const size_t r = (i + t) % requests.size();
+      const QueryOutcome& got = concurrent[t][i];
+      const QueryOutcome& want = serial[r];
+      const std::string context = "thread=" + std::to_string(t) +
+                                  " request=" + std::to_string(r);
+      EXPECT_EQ(got.matches, want.matches) << context;
+      EXPECT_EQ(got.exact, want.exact) << context;
+      EXPECT_EQ(got.stats.candidate_shipment_bytes,
+                want.stats.candidate_shipment_bytes)
+          << context;
+      EXPECT_EQ(got.stats.lec_shipment_bytes, want.stats.lec_shipment_bytes)
+          << context;
+      EXPECT_EQ(got.stats.lpm_shipment_bytes, want.stats.lpm_shipment_bytes)
+          << context;
+      ASSERT_EQ(got.sites.size(), want.sites.size()) << context;
+      for (size_t s = 0; s < got.sites.size(); ++s) {
+        const SiteReport& a = got.sites[s];
+        const SiteReport& b = want.sites[s];
+        EXPECT_EQ(a.partial_eval_complete, b.partial_eval_complete)
+            << context << " site=" << s;
+        EXPECT_EQ(a.lpms_complete, b.lpms_complete) << context;
+        EXPECT_EQ(a.crashed, b.crashed) << context;
+        EXPECT_EQ(a.hedged, b.hedged) << context;
+        EXPECT_EQ(a.max_attempts, b.max_attempts) << context;
+      }
+    }
+  }
+  // Every request ships LPMs, so the byte checks above are not vacuous.
+  for (const QueryOutcome& outcome : serial) {
+    EXPECT_GT(outcome.stats.lpm_shipment_bytes, 0u);
   }
 }
 

@@ -264,8 +264,11 @@ TEST(FaultInjectionTest, FaultReplayDeterminism) {
     for (int run = 0; run < 3; ++run) {
       size_t threads = run == 2 ? 8 : 1;  // replay must survive parallelism
       DistributedEngine engine(&p, WithPlan(plan, hedge, threads));
-      QueryOutcome outcome = engine.Run({query, EngineMode::kFull});
-      auto ledger = engine.cluster().ledger().Breakdown();
+      SimulatedCluster session(engine.num_sites(),
+                               engine.options().fault_plan);
+      QueryOutcome outcome =
+          testing::RunOnSession(engine, query, EngineMode::kFull, session);
+      auto ledger = session.ledger().Breakdown();
       if (run == 0) {
         first_ledger = ledger;
         first_outcome = outcome;
@@ -340,10 +343,16 @@ void ExpectThreadCountsMatch(DistributedEngine& serial_engine,
                              DistributedEngine& parallel_engine,
                              const QueryGraph& query, EngineMode mode,
                              const std::string& context) {
-  QueryOutcome reference = serial_engine.Run({query, mode});
-  auto reference_ledger = serial_engine.cluster().ledger().Breakdown();
-  QueryOutcome outcome = parallel_engine.Run({query, mode});
-  auto ledger = parallel_engine.cluster().ledger().Breakdown();
+  SimulatedCluster reference_session(serial_engine.num_sites(),
+                                     serial_engine.options().fault_plan);
+  QueryOutcome reference = testing::RunOnSession(serial_engine, query, mode,
+                                                 reference_session);
+  auto reference_ledger = reference_session.ledger().Breakdown();
+  SimulatedCluster session(parallel_engine.num_sites(),
+                           parallel_engine.options().fault_plan);
+  QueryOutcome outcome =
+      testing::RunOnSession(parallel_engine, query, mode, session);
+  auto ledger = session.ledger().Breakdown();
 
   EXPECT_EQ(outcome.matches, reference.matches) << context;
   EXPECT_EQ(outcome.exact, reference.exact) << context;

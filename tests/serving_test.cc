@@ -195,10 +195,10 @@ TEST(ServingCancellation, PreCancelledContextReturnsFlaggedEmpty) {
 
   CancelToken cancel;
   cancel.Cancel();
-  QuerySession session(engine.num_sites());
+  SimulatedCluster session(engine.num_sites());
   QueryContext ctx;
-  ctx.ledger = &session.ledger;
-  ctx.transport = &session.transport;
+  ctx.ledger = &session.ledger();
+  ctx.transport = &session.transport();
   ctx.cancel = &cancel;
   QueryRequest request(w.queries[0].query, EngineMode::kFull, ctx);
   QueryOutcome outcome = engine.Run(request);
@@ -206,7 +206,7 @@ TEST(ServingCancellation, PreCancelledContextReturnsFlaggedEmpty) {
   EXPECT_FALSE(outcome.exact);
   EXPECT_TRUE(outcome.matches.empty());
   // Aborting between stages never tears the session ledger.
-  EXPECT_EQ(session.ledger.TotalBytes(), 0u);
+  EXPECT_EQ(session.ledger().TotalBytes(), 0u);
 }
 
 TEST(ServingCancellation, ZeroDeadlineTimesOutAsFlaggedPartial) {

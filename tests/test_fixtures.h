@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/local_partial_match.h"
 #include "partition/partitioners.h"
 #include "partition/partitioning.h"
@@ -79,6 +80,19 @@ VertexAssignment RandomAssignment(Rng& rng, const Dataset& dataset, int k);
 /// the assembly/pruning oracle and determinism suites.
 std::vector<LocalPartialMatch> EnumerateAllLpms(
     const Partitioning& partitioning, const ResolvedQuery& rq);
+
+/// Runs one query over the caller-owned `session`, so the caller can read
+/// the query's ledger afterwards. With a session built as
+/// SimulatedCluster(engine.num_sites(), engine.options().fault_plan) this is
+/// exactly what a context-free Run does over its own private session.
+inline QueryOutcome RunOnSession(const DistributedEngine& engine,
+                                 const QueryGraph& query, EngineMode mode,
+                                 SimulatedCluster& session) {
+  QueryContext ctx;
+  ctx.ledger = &session.ledger();
+  ctx.transport = &session.transport();
+  return engine.Run({query, mode, ctx});
+}
 
 /// One randomized oracle-comparison scenario: a seeded random dataset plus a
 /// random connected query over it. Kept small because several consumers
