@@ -77,6 +77,7 @@ struct AssemblyContext {
   const std::vector<LocalPartialMatch>* lpms;
   std::vector<std::vector<uint32_t>> groups;
   std::vector<std::vector<uint32_t>> adjacency;
+  CrossingIndex index;  // over lpms/groups
   // Mutated only between vmin iterations, on the coordinator thread; frozen
   // while seed DFS walks run.
   std::vector<bool> active;
@@ -107,6 +108,7 @@ struct SlotScratch {
   std::vector<std::vector<PartialJoin>> frontier_arena;
   std::vector<bool> visited;
   std::vector<PartialJoin> seed_frontier;  // always exactly one element
+  std::vector<uint32_t> candidates;  // the indexed chain step's members
   AssemblyStats stats;
 
   explicit SlotScratch(size_t num_groups)
@@ -114,9 +116,12 @@ struct SlotScratch {
 };
 
 /// The recursive expansion of Alg. 3's ComParJoin: joins the chains in
-/// `frontier` with every LPM of every active group adjacent to the visited
+/// `frontier` with the LPMs of every active group adjacent to the visited
 /// set; complete (all-ones) chains emit their binding to `out` in DFS
-/// order, incomplete fresh ones recurse.
+/// order, incomplete fresh ones recurse. Each chain probes only the group
+/// members that share one of its crossing mappings
+/// (CrossingIndex::Candidates, in ascending order), so the emissions equal
+/// a scan of the whole group, element for element.
 void ComParJoin(const AssemblyContext& ctx, SlotScratch& scratch,
                 const std::vector<PartialJoin>& frontier, size_t depth,
                 std::vector<Binding>* out) {
@@ -135,7 +140,8 @@ void ComParJoin(const AssemblyContext& ctx, SlotScratch& scratch,
     next.clear();
     PartialJoin joined;
     for (const PartialJoin& pj : frontier) {
-      for (uint32_t pm_idx : ctx.groups[g]) {
+      ctx.index.Candidates(g, pj.crossing, &scratch.candidates);
+      for (uint32_t pm_idx : scratch.candidates) {
         if (!TryJoin(pj, (*ctx.lpms)[pm_idx], &scratch.stats, &joined)) {
           continue;
         }
@@ -223,10 +229,16 @@ std::vector<Binding> LecAssembly(const std::vector<LocalPartialMatch>& lpms,
   ctx.lpms = &lpms;
 
   // Def. 11: group LPMs by LECSign, then link groups through the
-  // crossing-mapping index instead of all-pairs probing.
+  // crossing-mapping index instead of all-pairs probing; the chain steps
+  // reuse the index.
   ctx.groups = GroupBySign(lpms);
   stats->num_groups = ctx.groups.size();
-  ctx.adjacency = BuildGroupJoinGraph(lpms, ctx.groups, stats);
+  ctx.index = CrossingIndex(lpms, ctx.groups);
+  JoinGraphStats graph_stats;
+  ctx.adjacency =
+      BuildJoinGraphIndexed(lpms, ctx.groups, ctx.index, &graph_stats);
+  stats->join_attempts += graph_stats.join_attempts;
+  stats->num_join_graph_edges += graph_stats.num_edges;
 
   const size_t num_groups = ctx.groups.size();
   ctx.active.assign(num_groups, true);

@@ -84,12 +84,11 @@ CandidateExchange ExchangeInternalCandidates(
       if (sums[v] > budget) result.exchanged[v] = false;
     }
 
-    std::vector<uint8_t> bitmap = EncodeBitmap(result.exchanged);
+    const size_t bitmap_bytes =
+        WireMessage::kHeaderBytes + BitmapPayloadBytes(n);
     site_knows_skips = net.BroadcastReliable(
         StageOrdinal(QueryStage::kCandidateEstimates), stage_id,
-        options.policy, [&](int /*site*/) {
-          return MakeMessage(MessageType::kSkipBitmap, bitmap);
-        });
+        options.policy, std::vector<size_t>(num_sites, bitmap_bytes));
   }
 
   // ---- Site side of Alg. 4 (lines 10-15): compute internal candidates per
@@ -170,12 +169,11 @@ CandidateExchange ExchangeInternalCandidates(
     if (result.exchanged[v]) union_set.emplace_back(v, result.filters[v]);
   }
   if (!union_set.empty()) {
-    std::vector<uint8_t> union_payload = EncodeFilterSet(union_set);
+    const size_t union_bytes =
+        WireMessage::kHeaderBytes + EncodeFilterSet(union_set).size();
     result.site_filter_ok = net.BroadcastReliable(
         StageOrdinal(QueryStage::kCandidateFilters), stage_id, options.policy,
-        [&](int /*site*/) {
-          return MakeMessage(MessageType::kFilterUnion, union_payload);
-        });
+        std::vector<size_t>(num_sites, union_bytes));
   }
 
   result.shipment_bytes = ledger.StageBytes(stage_id) - bytes_before;

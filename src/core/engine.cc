@@ -429,6 +429,7 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
       PruneResult prune =
           LecFeaturePruning(all_features, n, prune_options);
       stats->num_surviving_features = prune.surviving_features;
+      stats->prune_join_attempts = prune.join_attempts;
       stats->prune_bailed_out = prune.bailed_out;
 
       for (size_t site = 0; site < num_sites; ++site) {
@@ -440,12 +441,14 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
       // Broadcast each site its survivor bitmap. A site that misses it
       // ships all of its LPMs — a superset, so the final result is still
       // exact, only the shipment grows.
+      std::vector<size_t> bitmap_bytes(num_sites);
+      for (size_t site = 0; site < num_sites; ++site) {
+        bitmap_bytes[site] = WireMessage::kHeaderBytes +
+                             BitmapPayloadBytes(site_survivors[site].size());
+      }
       survivors_delivered = net.BroadcastReliable(
           StageOrdinal(QueryStage::kLecFeatures), lec_stage_id, policy,
-          [&](int site) {
-            return MakeMessage(MessageType::kSurvivorBitmap,
-                               EncodeBitmap(site_survivors[site]));
-          });
+          bitmap_bytes);
       stats->lec_prune_time_ms = feat.run.max_millis + prune_watch.ElapsedMillis();
     } else {
       stats->lec_prune_time_ms = feat.run.max_millis;

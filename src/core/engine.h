@@ -135,6 +135,7 @@ struct QueryStats {
   size_t num_lpms_shipped = 0;     ///< after LEC pruning
   size_t num_features = 0;         ///< distinct LEC features (|Ψ|)
   size_t num_surviving_features = 0;
+  size_t prune_join_attempts = 0;  ///< Alg. 2 FeaturesJoinable probes
   size_t num_local_matches = 0;    ///< complete matches found inside sites
   size_t num_crossing_matches = 0; ///< matches produced by assembly
   size_t num_matches = 0;          ///< final deduplicated result count

@@ -2,6 +2,7 @@
 #define GSTORED_CORE_JOIN_GRAPH_H_
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
@@ -60,54 +61,93 @@ std::vector<std::vector<uint32_t>> GroupBySign(const std::vector<Item>& items) {
   return groups;
 }
 
-/// Builds the group join graph — an edge between two LECSign groups when
-/// some cross-group item pair has joinable features — via an inverted index
-/// from crossing-edge mapping to the (group, item) entries carrying it.
-/// Def. 9 condition 2 makes a shared crossing mapping necessary for
-/// joinability, so only pairs meeting in an index bucket are probed with
-/// FeaturesJoinable: O(C log C + bucket pairs) work for C total crossing
-/// mappings instead of the all-pairs O(G² · item²) scan. Adjacency lists
-/// come back sorted and the construction is deterministic (the index is
-/// scanned in sorted order, so probe counts never depend on hash-map
-/// iteration order).
-///
-/// `Item` must expose `.sign` (Bitset) and `.crossing` (sorted
-/// CrossingPairMap vector) — both LocalPartialMatch and LecFeature qualify.
-template <typename Item>
-std::vector<std::vector<uint32_t>> BuildJoinGraphIndexed(
-    const std::vector<Item>& items,
-    const std::vector<std::vector<uint32_t>>& groups, JoinGraphStats* stats) {
-  using join_graph_internal::CrossingMapKey;
-  using join_graph_internal::PackPair;
-  const size_t num_groups = groups.size();
-  std::vector<std::vector<uint32_t>> adjacency(num_groups);
-
-  // Invert: one entry per (crossing mapping, carrying item). Sorting by key
-  // clusters the items that share a mapping.
-  struct CrossingEntry {
+/// Inverted index of one join run from crossing mapping to the items that
+/// carry it. Def. 9 condition 2 makes a shared crossing mapping necessary
+/// for joinability, so both users probe FeaturesJoinable only on items
+/// met here: the group join graph build (BuildJoinGraphIndexed) and the
+/// chain step of Alg. 2's ComLECFJoin and Alg. 3's ComParJoin
+/// (Candidates). One entry per (crossing mapping, carrying item), sorted by
+/// (key, group, item), so each key's bucket holds every group's carriers
+/// as one run of ascending item indices. `Item` must expose `.crossing`
+/// (sorted CrossingPairMap vector); both LocalPartialMatch and LecFeature
+/// qualify.
+class CrossingIndex {
+ public:
+  struct Entry {
     uint64_t key;
     uint32_t group;
     uint32_t item;
-    bool operator<(const CrossingEntry& other) const {
-      if (key != other.key) return key < other.key;
-      if (group != other.group) return group < other.group;
-      return item < other.item;
-    }
+    friend auto operator<=>(const Entry&, const Entry&) = default;
   };
-  std::vector<CrossingEntry> entries;
-  size_t total_crossings = 0;
-  for (const auto& group : groups) {
-    for (uint32_t i : group) total_crossings += items[i].crossing.size();
-  }
-  entries.reserve(total_crossings);
-  for (uint32_t g = 0; g < num_groups; ++g) {
-    for (uint32_t i : groups[g]) {
-      for (const CrossingPairMap& c : items[i].crossing) {
-        entries.push_back({CrossingMapKey(c), g, i});
+
+  CrossingIndex() = default;
+
+  template <typename Item>
+  CrossingIndex(const std::vector<Item>& items,
+                const std::vector<std::vector<uint32_t>>& groups) {
+    size_t total_crossings = 0;
+    for (const auto& group : groups) {
+      for (uint32_t i : group) total_crossings += items[i].crossing.size();
+    }
+    entries_.reserve(total_crossings);
+    for (uint32_t g = 0; g < groups.size(); ++g) {
+      for (uint32_t i : groups[g]) {
+        for (const CrossingPairMap& c : items[i].crossing) {
+          entries_.push_back({join_graph_internal::CrossingMapKey(c), g, i});
+        }
       }
     }
+    std::sort(entries_.begin(), entries_.end());
   }
-  std::sort(entries.begin(), entries.end());
+
+  const std::vector<Entry>& entries() const { return entries_; }
+
+  /// The indexed chain step: fills `out` with the ascending, duplicate-free
+  /// indices of the members of `group` that carry some mapping of
+  /// `crossing` (the union of those mappings' buckets). Every member that
+  /// FeaturesJoinable can accept against `crossing` is among them, in the
+  /// order a scan of the whole group would meet it; a 64-bit key collision
+  /// only adds a candidate, which the caller's FeaturesJoinable probe
+  /// rejects.
+  void Candidates(uint32_t group, const std::vector<CrossingPairMap>& crossing,
+                  std::vector<uint32_t>* out) const {
+    out->clear();
+    for (const CrossingPairMap& c : crossing) {
+      const uint64_t key = join_graph_internal::CrossingMapKey(c);
+      for (auto it = std::lower_bound(entries_.begin(), entries_.end(),
+                                      Entry{key, group, 0});
+           it != entries_.end() && it->key == key && it->group == group;
+           ++it) {
+        out->push_back(it->item);
+      }
+    }
+    std::sort(out->begin(), out->end());
+    out->erase(std::unique(out->begin(), out->end()), out->end());
+  }
+
+ private:
+  std::vector<Entry> entries_;
+};
+
+/// Builds the group join graph — an edge between two LECSign groups when
+/// some cross-group item pair has joinable features — from the crossing
+/// index: only item pairs meeting in an index bucket are probed with
+/// FeaturesJoinable, O(bucket pairs) work instead of the all-pairs
+/// O(G² · item²) scan. Adjacency lists come back sorted and the
+/// construction is deterministic (the index is scanned in sorted order, so
+/// probe counts never depend on hash-map iteration order).
+///
+/// `Item` must expose `.sign` (Bitset) and `.crossing` — both
+/// LocalPartialMatch and LecFeature qualify. `index` must be built over
+/// the same items and groups.
+template <typename Item>
+std::vector<std::vector<uint32_t>> BuildJoinGraphIndexed(
+    const std::vector<Item>& items,
+    const std::vector<std::vector<uint32_t>>& groups,
+    const CrossingIndex& index, JoinGraphStats* stats) {
+  using join_graph_internal::PackPair;
+  const std::vector<CrossingIndex::Entry>& entries = index.entries();
+  std::vector<std::vector<uint32_t>> adjacency(groups.size());
 
   // Probe only cross-group pairs that meet inside one key bucket. The sort
   // order keeps each group's entries contiguous within a bucket, so the
@@ -166,6 +206,15 @@ std::vector<std::vector<uint32_t>> BuildJoinGraphIndexed(
   for (auto& list : adjacency) std::sort(list.begin(), list.end());
   stats->num_edges += joinable_pairs.size();
   return adjacency;
+}
+
+/// Convenience form that builds the crossing index for a single use.
+template <typename Item>
+std::vector<std::vector<uint32_t>> BuildJoinGraphIndexed(
+    const std::vector<Item>& items,
+    const std::vector<std::vector<uint32_t>>& groups, JoinGraphStats* stats) {
+  return BuildJoinGraphIndexed(items, groups, CrossingIndex(items, groups),
+                               stats);
 }
 
 }  // namespace gstored

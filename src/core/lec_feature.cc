@@ -56,25 +56,6 @@ LecFeatureSet ComputeLecFeatures(const std::vector<LocalPartialMatch>& lpms) {
   return set;
 }
 
-namespace {
-
-/// Flattens a crossing map into sorted (query vertex, data vertex) endpoint
-/// assignments. Within one feature the crossing map restricted to endpoints
-/// is a function, so the flattened list has one data vertex per query vertex.
-void EndpointAssignments(const std::vector<CrossingPairMap>& crossing,
-                         std::vector<std::pair<QVertexId, TermId>>* out) {
-  out->clear();
-  out->reserve(crossing.size() * 2);
-  for (const CrossingPairMap& c : crossing) {
-    out->emplace_back(c.q_from, c.d_from);
-    out->emplace_back(c.q_to, c.d_to);
-  }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
-}
-
-}  // namespace
-
 bool FeaturesJoinable(const Bitset& sign_a,
                       const std::vector<CrossingPairMap>& cross_a,
                       const Bitset& sign_b,
@@ -106,21 +87,16 @@ bool FeaturesJoinable(const Bitset& sign_a,
   // on a third query vertex that is extended in both partial matches (only
   // possible for cyclic queries); Def. 6's f^-1-based formulation and the
   // Thm. 2/3 proofs rely on endpoint consistency, which is what we check.
-  std::vector<std::pair<QVertexId, TermId>> ends_a;
-  std::vector<std::pair<QVertexId, TermId>> ends_b;
-  EndpointAssignments(cross_a, &ends_a);
-  EndpointAssignments(cross_b, &ends_b);
-  size_t i = 0;
-  size_t j = 0;
-  while (i < ends_a.size() && j < ends_b.size()) {
-    if (ends_a[i].first < ends_b[j].first) {
-      ++i;
-    } else if (ends_b[j].first < ends_a[i].first) {
-      ++j;
-    } else {
-      if (ends_a[i].second != ends_b[j].second) return false;
-      ++i;
-      ++j;
+  // Crossing maps hold at most one mapping per query edge, so comparing
+  // every endpoint pair directly is cheap and needs no scratch memory.
+  auto conflicts = [](QVertexId q, TermId d, const CrossingPairMap& c) {
+    return (c.q_from == q && c.d_from != d) || (c.q_to == q && c.d_to != d);
+  };
+  for (const CrossingPairMap& a : cross_a) {
+    for (const CrossingPairMap& b : cross_b) {
+      if (conflicts(a.q_from, a.d_from, b) || conflicts(a.q_to, a.d_to, b)) {
+        return false;
+      }
     }
   }
   return true;

@@ -61,6 +61,9 @@ LecFeatureSet ComputeLecFeatures(const std::vector<LocalPartialMatch>& lpms);
 /// of one fragment sharing a crossing mapping would both map an internal
 /// endpoint of that edge, violating condition 4. Dropping it keeps the
 /// predicate applicable to multi-way joined features (Thm. 4 chains).
+/// Allocates nothing. Because of condition 2, the join graph build and the
+/// chain joins of Algs. 2-3 call it only on the item pairs that
+/// CrossingIndex (core/join_graph.h) finds sharing a crossing mapping.
 bool FeaturesJoinable(const Bitset& sign_a,
                       const std::vector<CrossingPairMap>& cross_a,
                       const Bitset& sign_b,

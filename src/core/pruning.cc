@@ -48,6 +48,7 @@ struct PruneContext {
   const std::vector<LecFeature>* features;
   std::vector<std::vector<uint32_t>> groups;     // feature indices per group
   std::vector<std::vector<uint32_t>> adjacency;  // group join graph
+  CrossingIndex index;                           // over features/groups
   std::vector<bool> active;                      // per group
 };
 
@@ -66,6 +67,8 @@ struct PruneSlotScratch {
   // Scratch for building one candidate chain before it is either merged
   // into an existing chain, marked complete, or moved into the frontier.
   std::vector<uint32_t> scratch_contributors;
+  // The indexed chain step's candidate members of the group being joined.
+  std::vector<uint32_t> candidates;
 
   /// Per-slot survivor bitmap, one bit per base feature index. Marking is a
   /// pure union, so OR-folding the slot bitmaps after the ParallelFor
@@ -90,9 +93,12 @@ struct PruneSlotScratch {
 };
 
 /// The recursive expansion of Alg. 2's ComLECFJoin for one seed: joins the
-/// chains in `frontier` with every feature of every active group adjacent
+/// chains in `frontier` with the features of every active group adjacent
 /// to the visited set, marking contributors of all-ones chains in the
-/// slot's survivor bitmap.
+/// slot's survivor bitmap. Each chain probes only the group members that
+/// share one of its crossing mappings (CrossingIndex::Candidates, in
+/// ascending order), so every frontier, mark and budget decision equals a
+/// scan of the whole group.
 ///
 /// `any_exhausted` is the run-global bail-out flag. It is *set* only when a
 /// seed truly runs out of its own budget (a pure per-seed property, so the
@@ -131,7 +137,8 @@ void ComLecFJoin(const PruneContext& ctx, PruneSlotScratch& s,
     std::vector<JoinedFeature>& next = s.frontier_arena[depth];
     next.clear();
     for (const JoinedFeature& jf : frontier) {
-      for (uint32_t f_idx : ctx.groups[g]) {
+      ctx.index.Candidates(g, jf.crossing, &s.candidates);
+      for (uint32_t f_idx : s.candidates) {
         const LecFeature& f = (*ctx.features)[f_idx];
         ++s.join_attempts;
         if (!FeaturesJoinable(jf.sign, jf.crossing, f.sign, f.crossing)) {
@@ -237,11 +244,13 @@ PruneResult LecFeaturePruning(const std::vector<LecFeature>& features,
   result.num_groups = num_groups;
 
   // Group join graph: an edge when some cross-group feature pair is
-  // joinable (two same-sign features never are — Thm. 5). The indexed
-  // construction probes only pairs sharing a crossing mapping (a Def. 9
-  // necessity) instead of all cross-group pairs.
+  // joinable (two same-sign features never are — Thm. 5). The crossing
+  // index limits its probes, and later every chain step's, to pairs
+  // sharing a crossing mapping (a Def. 9 necessity).
+  ctx.index = CrossingIndex(features, ctx.groups);
   JoinGraphStats graph_stats;
-  ctx.adjacency = BuildJoinGraphIndexed(features, ctx.groups, &graph_stats);
+  ctx.adjacency =
+      BuildJoinGraphIndexed(features, ctx.groups, ctx.index, &graph_stats);
   result.join_attempts += graph_stats.join_attempts;
   result.num_join_graph_edges = graph_stats.num_edges;
 

@@ -248,9 +248,9 @@ StageResult Transport::ExecuteStage(
 
 std::vector<bool> Transport::BroadcastReliable(
     uint32_t stage, ShipmentLedger::StageId ledger_stage,
-    const StagePolicy& policy,
-    const std::function<WireMessage(int site)>& make_msg) {
+    const StagePolicy& policy, const std::vector<size_t>& wire_bytes) {
   GSTORED_CHECK_GE(policy.max_attempts, 1);
+  GSTORED_CHECK_EQ(wire_bytes.size(), static_cast<size_t>(num_sites_));
   std::vector<bool> delivered(num_sites_, false);
   for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
     bool all = true;
@@ -263,7 +263,7 @@ std::vector<bool> Transport::BroadcastReliable(
       const bool dup =
           plan_.Duplicate(site, stage, static_cast<uint32_t>(attempt), 0,
                           /*to_site=*/true);
-      ledger_->Add(ledger_stage, make_msg(site).WireSize() * (dup ? 2 : 1));
+      ledger_->Add(ledger_stage, wire_bytes[site] * (dup ? 2 : 1));
       if (plan_.Drop(site, stage, static_cast<uint32_t>(attempt), 0,
                      /*to_site=*/true)) {
         all = false;

@@ -94,16 +94,17 @@ class Transport {
       const StagePolicy& policy,
       const std::function<std::vector<WireMessage>(int site)>& site_fn);
 
-  /// Reliable coordinator -> sites broadcast of `make_msg(site)`, retrying
-  /// undelivered sites up to policy.max_attempts. Every send is fault-drawn
-  /// and accounted; the message itself is not kept, because sites read the
-  /// broadcast state from coordinator memory. Returns per-site delivery
-  /// success; callers degrade gracefully for sites that never received the
+  /// Reliable coordinator -> sites broadcast, retrying undelivered sites up
+  /// to policy.max_attempts. Every send is fault-drawn and accounted with
+  /// `wire_bytes[site]` (the message's WireSize(): kHeaderBytes + payload
+  /// size). No message is built or kept, because sites read the broadcast
+  /// state from coordinator memory. Returns per-site delivery success;
+  /// callers degrade gracefully for sites that never received the
   /// broadcast (there is no local hedge for a receive failure).
-  std::vector<bool> BroadcastReliable(
-      uint32_t stage, ShipmentLedger::StageId ledger_stage,
-      const StagePolicy& policy,
-      const std::function<WireMessage(int site)>& make_msg);
+  std::vector<bool> BroadcastReliable(uint32_t stage,
+                                      ShipmentLedger::StageId ledger_stage,
+                                      const StagePolicy& policy,
+                                      const std::vector<size_t>& wire_bytes);
 
  private:
   int num_sites_;

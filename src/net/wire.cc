@@ -193,6 +193,8 @@ std::vector<uint8_t> EncodeBitmap(const std::vector<bool>& bits) {
   return out;
 }
 
+size_t BitmapPayloadBytes(size_t num_bits) { return 4 + (num_bits + 7) / 8; }
+
 Result<std::vector<bool>> DecodeBitmap(const std::vector<uint8_t>& payload) {
   WireReader r(payload);
   uint32_t count = r.U32();

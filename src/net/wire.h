@@ -67,6 +67,8 @@ std::vector<uint8_t> EncodeEstimates(const std::vector<double>& estimates);
 Result<std::vector<double>> DecodeEstimates(const std::vector<uint8_t>& payload);
 
 std::vector<uint8_t> EncodeBitmap(const std::vector<bool>& bits);
+/// EncodeBitmap's payload size for `num_bits` bits, without encoding.
+size_t BitmapPayloadBytes(size_t num_bits);
 Result<std::vector<bool>> DecodeBitmap(const std::vector<uint8_t>& payload);
 
 /// A set of (query vertex, bit vector) pairs — one site's candidate filters,

@@ -120,6 +120,31 @@ TEST(EngineIntegrationTest, BasicAndLaShipEverything) {
   EXPECT_LT(lo.lpm_shipment_bytes, basic.lpm_shipment_bytes);
 }
 
+/// QueryStats reports the Alg. 2 probe count: nonzero whenever kFull
+/// prunes a non-star query's features, zero when no pruning join runs
+/// (kBasic, and star queries answered locally).
+TEST(EngineIntegrationTest, PruneJoinAttemptsReported) {
+  LubmConfig config;
+  config.universities = 2;
+  Workload w = MakeLubmWorkload(config);
+  Partitioning p = HashPartitioner().Partition(*w.dataset, 4);
+  DistributedEngine engine(&p);
+  bool saw_lq7 = false;
+  for (const BenchmarkQuery& bq : w.queries) {
+    const QueryStats full = engine.Run({bq.query, EngineMode::kFull}).stats;
+    const QueryStats basic = engine.Run({bq.query, EngineMode::kBasic}).stats;
+    EXPECT_EQ(basic.prune_join_attempts, 0u) << bq.name;
+    if (bq.query.IsStar()) {
+      EXPECT_EQ(full.prune_join_attempts, 0u) << bq.name;
+    } else if (bq.name == "LQ7") {
+      saw_lq7 = true;
+      EXPECT_GT(full.num_features, 0u);
+      EXPECT_GT(full.prune_join_attempts, 0u);
+    }
+  }
+  EXPECT_TRUE(saw_lq7);
+}
+
 TEST(EngineIntegrationTest, StarShortcutSkipsAllShipment) {
   LubmConfig config;
   config.universities = 2;

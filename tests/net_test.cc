@@ -189,7 +189,8 @@ TEST(TransportTest, CrashedSiteSkipsExecutionAndBroadcasts) {
   const WireMessage bitmap =
       MakeMessage(MessageType::kSkipBitmap, EncodeBitmap({true}));
   std::vector<bool> delivered = transport.BroadcastReliable(
-      3, ledger.Intern("broadcast"), policy, [&](int) { return bitmap; });
+      3, ledger.Intern("broadcast"), policy,
+      {bitmap.WireSize(), bitmap.WireSize()});
   EXPECT_FALSE(delivered[0]);
   EXPECT_TRUE(delivered[1]);
   EXPECT_EQ(ledger.StageBytes("broadcast"), bitmap.WireSize());

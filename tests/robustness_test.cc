@@ -242,6 +242,12 @@ TEST(WireCodecTest, RoundTripsPreserveEveryPayloadType) {
   auto bitmap = DecodeBitmap(EncodeBitmap(bits));
   ASSERT_TRUE(bitmap.ok());
   EXPECT_EQ(*bitmap, bits);
+  // Broadcasts account bitmap bytes without encoding them.
+  for (size_t size : {0, 1, 7, 8, 9, 64, 65}) {
+    EXPECT_EQ(BitmapPayloadBytes(size),
+              EncodeBitmap(std::vector<bool>(size, true)).size())
+        << size;
+  }
 
   FilterSet filters;
   for (uint32_t v : {0u, 3u}) {
