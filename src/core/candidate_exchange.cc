@@ -92,8 +92,9 @@ CandidateExchange ExchangeInternalCandidates(
   }
 
   // ---- Site side of Alg. 4 (lines 10-15): compute internal candidates per
-  // exchanged variable, fold them into the site's bit vectors, and ship the
-  // filter set as one wire message. Constants are never inserted or shipped.
+  // exchanged variable, fold them into the site's bit vector, and ship the
+  // filter set as one wire message, each filter in its smaller wire form.
+  // Constants are never inserted or shipped.
   auto make_filter_row = [&] {
     std::vector<BitvectorFilter> row;
     row.reserve(n);
@@ -108,20 +109,22 @@ CandidateExchange ExchangeInternalCandidates(
       StageOrdinal(QueryStage::kCandidateFilters), stage_id, options.policy,
       [&](int site) {
         const Fragment& fragment = partitioning.fragments()[site];
-        FilterSet set;
-        std::vector<TermId> candidates;  // reused across the site's variables
+        FilterSetEncoder encoder;
+        // Both reused across the site's variables.
+        std::vector<TermId> candidates;
+        BitvectorFilter filter(options.filter_bits);
         for (QVertexId v = 0; v < n; ++v) {
           if (!q.vertex(v).is_variable) continue;
           if (site_knows_skips[site] && !result.exchanged[v]) continue;
-          BitvectorFilter filter(options.filter_bits);
           stores[site]->CandidatesInto(rq, v, &candidates);
+          filter.Clear();
           for (TermId u : candidates) {
             if (fragment.IsInternal(u)) filter.Insert(u);
           }
-          set.emplace_back(v, std::move(filter));
+          encoder.Add(v, filter);
         }
         return std::vector<WireMessage>{
-            MakeMessage(MessageType::kCandidateFilters, EncodeFilterSet(set))};
+            MakeMessage(MessageType::kCandidateFilters, encoder.Finish())};
       });
   result.stage_millis += filt.run.max_millis;
   result.transport_retries += filt.total_retries();
@@ -170,7 +173,7 @@ CandidateExchange ExchangeInternalCandidates(
   }
   if (!union_set.empty()) {
     const size_t union_bytes =
-        WireMessage::kHeaderBytes + EncodeFilterSet(union_set).size();
+        WireMessage::kHeaderBytes + FilterSetPayloadBytes(union_set);
     result.site_filter_ok = net.BroadcastReliable(
         StageOrdinal(QueryStage::kCandidateFilters), stage_id, options.policy,
         std::vector<size_t>(num_sites, union_bytes));

@@ -24,9 +24,9 @@ struct CandidateExchangeOptions {
   /// per variable (from its GraphStatistics selectivity model) and the
   /// coordinator skips the bit vectors of variables whose expected filter
   /// fill ratio 1 - exp(-candidates / bits) exceeds max_fill: a saturated
-  /// vector passes (almost) everything, so shipping it costs
-  /// 2 x sites x vector bytes and prunes nothing. Filters that would stay
-  /// below the threshold are exchanged exactly as before.
+  /// vector passes (almost) everything and ships in dense form, so it costs
+  /// about 2 x sites x vector bytes and prunes nothing. Filters that would
+  /// stay below the threshold are exchanged exactly as before.
   bool use_statistics = true;
   double max_fill = 0.75;
 
@@ -68,13 +68,14 @@ struct CandidateExchange {
 };
 
 /// Runs Algorithm 4 over the cluster transport: each site computes the
-/// internal candidates C(Q, v) of every exchanged variable, compresses them
-/// into a fixed-length hashed bit vector, and ships the set to the
-/// coordinator as a typed wire message; the coordinator ORs the per-site
-/// vectors and broadcasts the union. The returned filters have one-sided
-/// error: any vertex appearing in a final match is guaranteed to pass, so
-/// using them to restrict extended-vertex assignments is safe (skipped
-/// variables simply stay unfiltered).
+/// internal candidates C(Q, v) of every exchanged variable, hashes them onto
+/// a fixed-length bit vector, and ships the set to the coordinator as a
+/// typed wire message, each vector as dense words or sparse set-bit
+/// positions, whichever is smaller; the coordinator ORs the per-site vectors
+/// and broadcasts the union in the same adaptive form. The returned filters
+/// have one-sided error: any vertex appearing in a final match is guaranteed
+/// to pass, so using them to restrict extended-vertex assignments is safe
+/// (skipped variables simply stay unfiltered).
 ///
 /// Fault behaviour: lost estimate messages shrink the skip decision's
 /// evidence (never its soundness); a site that misses the skip bitmap ships

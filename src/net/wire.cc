@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <cstring>
+#include <string>
 
 namespace gstored {
 
@@ -15,6 +16,11 @@ class WireWriter {
   void U32(uint32_t v) { Raw(&v, sizeof(v)); }
   void U64(uint64_t v) { Raw(&v, sizeof(v)); }
   void F64(double v) { Raw(&v, sizeof(v)); }
+  /// Reserves `n` bytes at the end and returns where they start.
+  uint8_t* Extend(size_t n) {
+    out_->resize(out_->size() + n);
+    return out_->data() + out_->size() - n;
+  }
 
  private:
   void Raw(const void* p, size_t n) {
@@ -54,6 +60,26 @@ class WireReader {
     double v = 0;
     Raw(&v, sizeof(v));
     return v;
+  }
+  void U64s(std::vector<uint64_t>* v) {
+    Raw(v->data(), v->size() * sizeof(uint64_t));
+  }
+  /// Reads a LEB128 varint (seven bits per byte, low group first, high bit
+  /// set on all but the last byte); more than 64 bits of value is a failure.
+  uint64_t Varint() {
+    if (ok_ && pos_ < bytes_.size() && bytes_[pos_] < 0x80) {
+      return bytes_[pos_++];
+    }
+    uint64_t v = 0;
+    for (int shift = 0; ok_ && pos_ < bytes_.size() && shift < 64;
+         shift += 7) {
+      uint8_t byte = bytes_[pos_++];
+      if (shift == 63 && byte > 1) break;
+      v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) return v;
+    }
+    ok_ = false;
+    return 0;
   }
 
  private:
@@ -129,6 +155,49 @@ bool ReadCrossing(WireReader& r, std::vector<CrossingPairMap>* out) {
     out->push_back(c);
   }
   return r.ok();
+}
+
+// Filter body tags (see FilterSet in wire.h) and the longest filter accepted.
+constexpr uint8_t kDenseFilter = 0;
+constexpr uint8_t kSparseFilter = 1;
+constexpr uint64_t kMaxFilterBits = uint64_t{1} << 26;
+constexpr size_t kMaxVarintBytes = 10;  // LEB128 of a 64-bit value
+
+size_t VarintBytes(uint64_t v) {
+  return 1 + static_cast<size_t>(63 - __builtin_clzll(v | 1)) / 7;
+}
+
+uint8_t* PutVarint(uint8_t* out, uint64_t v) {
+  for (; v >= 0x80; v >>= 7) *out++ = static_cast<uint8_t>(v | 0x80);
+  *out++ = static_cast<uint8_t>(v);
+  return out;
+}
+
+/// Calls fn(position) for every set bit of `filter`, ascending, while fn
+/// returns true.
+template <typename Fn>
+void ForEachSetBit(const BitvectorFilter& filter, Fn fn) {
+  const std::vector<uint64_t>& words = filter.words();
+  for (size_t i = 0; i < words.size(); ++i) {
+    for (uint64_t w = words[i]; w != 0; w &= w - 1) {
+      if (!fn(i * 64 + static_cast<size_t>(__builtin_ctzll(w)))) return;
+    }
+  }
+}
+
+/// Body bytes of a filter's wire form: its sparse gaps when they take fewer
+/// bytes than the dense words, else the dense words (a tie goes to dense).
+/// FilterSetEncoder::Add applies the same rule while it writes.
+size_t FilterBodyBytes(const BitvectorFilter& filter) {
+  const size_t dense = filter.ByteSize();
+  size_t sparse = 0;
+  size_t prev = 0;
+  ForEachSetBit(filter, [&](size_t pos) {
+    sparse += VarintBytes(pos - prev);
+    prev = pos;
+    return sparse < dense;
+  });
+  return sparse < dense ? sparse : dense;
 }
 
 }  // namespace
@@ -209,42 +278,113 @@ Result<std::vector<bool>> DecodeBitmap(const std::vector<uint8_t>& payload) {
   return out;
 }
 
-std::vector<uint8_t> EncodeFilterSet(const FilterSet& filters) {
-  std::vector<uint8_t> out;
-  WireWriter w(&out);
-  w.U32(static_cast<uint32_t>(filters.size()));
-  for (const auto& [var, filter] : filters) {
-    w.U32(var);
-    w.U64(filter.bits());
-    const std::vector<uint64_t>& words = filter.words();
-    w.U32(static_cast<uint32_t>(words.size()));
-    for (uint64_t word : words) w.U64(word);
+FilterSetEncoder::FilterSetEncoder() { out_.resize(sizeof(count_)); }
+
+void FilterSetEncoder::Add(QVertexId var, const BitvectorFilter& filter) {
+  WireWriter w(&out_);
+  w.U32(var);
+  w.U64(filter.bits());
+  const size_t tag_at = out_.size();
+  w.U8(kSparseFilter);
+  w.U32(0);  // set-bit count, filled in below
+  // One pass over the set bits writes the sparse gaps until they reach the
+  // dense size; then the body is rewritten dense. The slack past the dense
+  // size holds the varint that crosses it.
+  const size_t dense = filter.ByteSize();
+  const size_t body_at = out_.size();
+  uint8_t* const body = w.Extend(dense + kMaxVarintBytes);
+  uint8_t* out = body;
+  uint32_t count = 0;
+  size_t prev = 0;
+  bool sparse = true;
+  ForEachSetBit(filter, [&](size_t pos) {
+    out = PutVarint(out, pos - prev);
+    prev = pos;
+    ++count;
+    sparse = static_cast<size_t>(out - body) < dense;
+    return sparse;
+  });
+  if (sparse) {
+    out_.resize(body_at + static_cast<size_t>(out - body));
+  } else {
+    out_[tag_at] = kDenseFilter;
+    count = static_cast<uint32_t>(filter.words().size());
+    std::memcpy(body, filter.words().data(), dense);
+    out_.resize(body_at + dense);
   }
-  return out;
+  std::memcpy(out_.data() + tag_at + 1, &count, sizeof(count));
+  ++count_;
+}
+
+std::vector<uint8_t> FilterSetEncoder::Finish() {
+  std::memcpy(out_.data(), &count_, sizeof(count_));
+  return std::move(out_);
+}
+
+std::vector<uint8_t> EncodeFilterSet(const FilterSet& filters) {
+  FilterSetEncoder encoder;
+  for (const auto& [var, filter] : filters) encoder.Add(var, filter);
+  return encoder.Finish();
+}
+
+size_t FilterSetPayloadBytes(const FilterSet& filters) {
+  size_t bytes = 4;
+  for (const auto& [var, filter] : filters) {
+    bytes += kFilterFramingBytes + FilterBodyBytes(filter);
+  }
+  return bytes;
 }
 
 Result<FilterSet> DecodeFilterSet(const std::vector<uint8_t>& payload) {
   WireReader r(payload);
   uint32_t count = r.U32();
-  // Each entry is at least var + bits + word count = 16 bytes.
-  if (!r.ok() || r.remaining() / 16 < count) return Truncated("filter set");
+  if (!r.ok() || r.remaining() / kFilterFramingBytes < count) {
+    return Truncated("filter set");
+  }
   FilterSet out;
   out.reserve(count);
+  uint64_t sparse_bits_left = kMaxFilterBits;
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t var = r.U32();
     uint64_t bits = r.U64();
-    uint32_t num_words = r.U32();
-    if (!r.ok() || bits == 0 || bits > (uint64_t{1} << 26) ||
-        num_words != (bits + 63) / 64 || r.remaining() / 8 < num_words) {
+    uint8_t tag = r.U8();
+    uint32_t body_count = r.U32();
+    if (!r.ok() || bits == 0 || bits > kMaxFilterBits) {
       return Truncated("filter set");
     }
-    std::vector<uint64_t> words;
-    words.reserve(num_words);
-    for (uint32_t k = 0; k < num_words; ++k) words.push_back(r.U64());
-    if (!r.ok()) return Truncated("filter set");
-    BitvectorFilter filter(static_cast<size_t>(bits));
-    filter.AssignWords(std::move(words));
-    out.emplace_back(var, std::move(filter));
+    if (tag == kDenseFilter) {
+      if (body_count != (bits + 63) / 64 || r.remaining() / 8 < body_count) {
+        return Truncated("filter set");
+      }
+      std::vector<uint64_t> words(body_count);
+      r.U64s(&words);
+      if (!r.ok()) return Truncated("filter set");
+      BitvectorFilter filter(static_cast<size_t>(bits));
+      filter.AssignWords(std::move(words));
+      out.emplace_back(var, std::move(filter));
+    } else if (tag == kSparseFilter) {
+      // Every gap takes at least one byte; the sparse budget bounds the
+      // dense vectors a small payload can make us allocate.
+      if (body_count > r.remaining() || bits > sparse_bits_left) {
+        return Truncated("filter set");
+      }
+      sparse_bits_left -= bits;
+      BitvectorFilter filter(static_cast<size_t>(bits));
+      uint64_t pos = 0;
+      for (uint32_t k = 0; k < body_count; ++k) {
+        uint64_t gap = r.Varint();
+        // Gaps after the first are positive (positions ascend strictly), and
+        // no position reaches `bits`; `gap >= bits - pos` cannot overflow.
+        if (!r.ok() || (k > 0 && gap == 0) || gap >= bits - pos) {
+          return Truncated("filter set");
+        }
+        pos += gap;
+        filter.SetPosition(static_cast<size_t>(pos));
+      }
+      out.emplace_back(var, std::move(filter));
+    } else {
+      return Status::ParseError("unknown filter tag " + std::to_string(tag));
+    }
   }
   if (!r.AtEnd()) return Truncated("filter set");
   return out;

@@ -73,9 +73,41 @@ Result<std::vector<bool>> DecodeBitmap(const std::vector<uint8_t>& payload);
 
 /// A set of (query vertex, bit vector) pairs — one site's candidate filters,
 /// or the coordinator's union broadcast.
+///
+/// Each filter is framed as var(4) + bits(8) + tag(1) + count(4), and the
+/// tag picks its body:
+///   - dense (0): count = word count, then the words;
+///   - sparse (1): count = set bits, then the ascending set-bit positions as
+///     LEB128 varint gaps (the first gap is from position 0).
+/// The encoder picks the smaller body and dense wins a tie, so one filter
+/// never ships more than kFilterFramingBytes + its dense ByteSize().
+/// Decoding always yields dense filters. A payload's sparse filters may span
+/// at most 2^26 bits in total (the cap on one filter's length), which bounds
+/// what a tiny payload can make the decoder allocate.
 using FilterSet = std::vector<std::pair<QVertexId, BitvectorFilter>>;
+/// Bytes of one filter's framing: var + bits + tag + count.
+inline constexpr size_t kFilterFramingBytes = 17;
 std::vector<uint8_t> EncodeFilterSet(const FilterSet& filters);
+/// EncodeFilterSet's payload size, without encoding.
+size_t FilterSetPayloadBytes(const FilterSet& filters);
 Result<FilterSet> DecodeFilterSet(const std::vector<uint8_t>& payload);
+
+/// Builds a filter-set payload one filter at a time, so a site can reuse one
+/// vector for all its variables. EncodeFilterSet is a loop over Add.
+class FilterSetEncoder {
+ public:
+  FilterSetEncoder();
+
+  /// Appends `filter` as the filter of query vertex `var`.
+  void Add(QVertexId var, const BitvectorFilter& filter);
+
+  /// Returns the payload. Call once, after the last Add.
+  std::vector<uint8_t> Finish();
+
+ private:
+  std::vector<uint8_t> out_;
+  uint32_t count_ = 0;
+};
 
 /// Complete local matches of one site plus the site's LPM count (piggybacked
 /// so the coordinator's Tables I-III stats survive without an extra message).

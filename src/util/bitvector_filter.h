@@ -1,6 +1,7 @@
 #ifndef GSTORED_UTIL_BITVECTOR_FILTER_H_
 #define GSTORED_UTIL_BITVECTOR_FILTER_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -16,10 +17,14 @@ namespace gstored {
 /// sites and broadcasts the union. Membership tests have one-sided error:
 /// MayContain never returns false for an inserted id (no false negatives),
 /// so filtering with it never discards a real candidate.
+///
+/// In memory the vector is always dense, so MayContain is one word probe.
+/// On the wire (net/wire.h) each vector ships either as these words or as
+/// its sorted set-bit positions, whichever is smaller: the fixed length
+/// bounds the per-variable communication cost instead of fixing it.
 class BitvectorFilter {
  public:
-  /// Default length (in bits) used by the engine; the paper fixes the length
-  /// so that the communication cost is constant per variable.
+  /// Default length (in bits) used by the engine.
   static constexpr size_t kDefaultBits = 1 << 16;
 
   BitvectorFilter() : BitvectorFilter(kDefaultBits) {}
@@ -30,13 +35,28 @@ class BitvectorFilter {
 
   size_t bits() const { return bits_; }
 
-  /// Inserts an id (hash-mapped onto one bit, as in Algorithm 4 line 13-14).
-  void Insert(uint64_t id) { words_[Slot(id)] |= Mask(id); }
+  /// The bit an id hashes to (Algorithm 4 lines 13-14); Insert and
+  /// MayContain hash each id once, through here.
+  size_t Position(uint64_t id) const {
+    return static_cast<size_t>(MixU64(id) % bits_);
+  }
+
+  /// Inserts an id (hash-mapped onto one bit).
+  void Insert(uint64_t id) { SetPosition(Position(id)); }
+
+  /// Sets one bit by position (< bits()); the wire decoder's sparse form.
+  void SetPosition(size_t pos) {
+    words_[pos >> 6] |= uint64_t{1} << (pos & 63);
+  }
 
   /// True if `id` may have been inserted (on this or any OR-ed vector).
   bool MayContain(uint64_t id) const {
-    return (words_[Slot(id)] & Mask(id)) != 0;
+    size_t pos = Position(id);
+    return (words_[pos >> 6] >> (pos & 63)) & 1;
   }
+
+  /// Clears every bit, keeping the length (and the allocation).
+  void Clear() { std::fill(words_.begin(), words_.end(), 0); }
 
   /// Unions another filter into this one (coordinator-side OR).
   void UnionWith(const BitvectorFilter& other) {
@@ -44,7 +64,8 @@ class BitvectorFilter {
     for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
   }
 
-  /// Serialized size in bytes — the per-variable shipment cost of Alg. 4.
+  /// Size of the dense word array in bytes: the in-memory size, and the
+  /// upper bound of a filter's wire body.
   size_t ByteSize() const { return words_.size() * sizeof(uint64_t); }
 
   /// Raw word access for the wire codecs (net/wire.h).
@@ -65,11 +86,6 @@ class BitvectorFilter {
   }
 
  private:
-  size_t Slot(uint64_t id) const { return (MixU64(id) % bits_) >> 6; }
-  uint64_t Mask(uint64_t id) const {
-    return uint64_t{1} << ((MixU64(id) % bits_) & 63);
-  }
-
   size_t bits_;
   std::vector<uint64_t> words_;
 };

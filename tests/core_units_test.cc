@@ -16,6 +16,7 @@
 #include "core/local_partial_match.h"
 #include "core/pruning.h"
 #include "core/seen_set.h"
+#include "net/wire.h"
 #include "tests/test_fixtures.h"
 #include "util/rng.h"
 
@@ -26,6 +27,20 @@ Bitset Sign(std::initializer_list<int> bits, size_t n = 5) {
   Bitset s(n);
   for (int b : bits) s.Set(static_cast<size_t>(b));
   return s;
+}
+
+/// Wire size of one filter in sparse form: the framing plus one LEB128 gap
+/// (7 value bits per byte) per set bit.
+size_t SparseFilterBytes(const BitvectorFilter& filter) {
+  size_t bytes = kFilterFramingBytes;
+  size_t prev = 0;
+  for (size_t pos = 0; pos < filter.bits(); ++pos) {
+    if (((filter.words()[pos / 64] >> (pos % 64)) & 1) == 0) continue;
+    for (size_t gap = pos - prev; gap >= 128; gap >>= 7) ++bytes;
+    ++bytes;
+    prev = pos;
+  }
+  return bytes;
 }
 
 CrossingPairMap Map(QVertexId qf, QVertexId qt, TermId df, TermId dt) {
@@ -433,20 +448,75 @@ TEST(CandidateExchangeTest, FiltersAreSoundOverSites) {
     }
   }
   // Shipment accounting is the serialized wire traffic: the statistics
-  // pre-phase (estimates up, the skip bitmap down), then the per-site
-  // filter sets up and the union broadcast back. The raw vector words are a
-  // strict lower bound (wire framing only adds bytes), and the ledger must
-  // agree with the exchange's own number exactly.
-  size_t per_vec = BitvectorFilter().ByteSize();
+  // pre-phase (estimates and a done marker up, the skip bitmap down), then
+  // the per-site filter sets and done markers up and the union broadcast
+  // back. Each filter ships at most its dense words plus the per-filter
+  // framing, and the ledger must agree with the exchange's own number
+  // exactly.
+  const size_t n = query.num_vertices();
+  const size_t per_vec = BitvectorFilter().ByteSize();
+  const size_t header = WireMessage::kHeaderBytes;
+  const size_t done = header + EncodeDoneMarker(1).size();
   size_t exchanged = 0;
-  for (QVertexId v = 0; v < query.num_vertices(); ++v) {
+  for (QVertexId v = 0; v < n; ++v) {
     if (exchange.exchanged[v]) ++exchanged;
   }
-  EXPECT_GT(exchange.shipment_bytes, 2u * 3u * exchanged * per_vec);
+  const size_t pre_phase = 3u * (header + 4 + 8 * n + done) +
+                           3u * (header + BitmapPayloadBytes(n));
+  auto dense_bound = [&](size_t vars) {
+    return 3u * done +
+           2u * 3u * (header + 4 + vars * (kFilterFramingBytes + per_vec));
+  };
+  EXPECT_LE(exchange.shipment_bytes, pre_phase + dense_bound(exchanged));
   EXPECT_EQ(cluster.ledger().StageBytes(kCandidateStage),
             exchange.shipment_bytes);
   EXPECT_FALSE(exchange.degraded);
   for (bool ok : exchange.site_filter_ok) EXPECT_TRUE(ok);
+
+  // Dense reference: each site's filters built by Insert and OR-ed in site
+  // order. The exchanged unions must match it word for word, and with a
+  // handful of candidates per vector every filter must ship in sparse form,
+  // so the exact shipment is the sum of the reference sets' sparse sizes.
+  auto expect_sparse_reference = [&](const CandidateExchange& ex,
+                                     size_t expected_pre_phase) {
+    FilterSet union_set;
+    size_t up_bytes = 0;
+    for (size_t site = 0; site < store_ptrs.size(); ++site) {
+      const Fragment& fragment = partitioning.fragments()[site];
+      FilterSet site_set;
+      std::vector<TermId> candidates;
+      for (QVertexId v = 0; v < n; ++v) {
+        if (!ex.exchanged[v]) continue;
+        BitvectorFilter filter;
+        store_ptrs[site]->CandidatesInto(rq, v, &candidates);
+        for (TermId u : candidates) {
+          if (fragment.IsInternal(u)) filter.Insert(u);
+        }
+        EXPECT_EQ(EncodeFilterSet({{v, filter}}).size(),
+                  4 + SparseFilterBytes(filter))
+            << "site " << site << " v=" << v;
+        site_set.emplace_back(v, std::move(filter));
+      }
+      up_bytes += header + EncodeFilterSet(site_set).size() + done;
+      for (size_t i = 0; i < site_set.size(); ++i) {
+        if (site == 0) {
+          union_set.push_back(site_set[i]);
+        } else {
+          union_set[i].second.UnionWith(site_set[i].second);
+        }
+      }
+    }
+    for (const auto& [v, filter] : union_set) {
+      EXPECT_EQ(ex.filters[v].words(), filter.words()) << "v=" << v;
+      EXPECT_EQ(EncodeFilterSet({{v, filter}}).size(),
+                4 + SparseFilterBytes(filter))
+          << "union v=" << v;
+    }
+    EXPECT_EQ(ex.shipment_bytes,
+              expected_pre_phase + up_bytes +
+                  3u * (header + EncodeFilterSet(union_set).size()));
+  };
+  expect_sparse_reference(exchange, pre_phase);
 
   // The legacy protocol (no pre-phase) ships every variable's vector, and a
   // fault-free exchange is byte-deterministic: re-running it on a fresh
@@ -456,10 +526,11 @@ TEST(CandidateExchangeTest, FiltersAreSoundOverSites) {
   legacy.use_statistics = false;
   CandidateExchange full = ExchangeInternalCandidates(
       partitioning, store_ptrs, rq, legacy_cluster, legacy);
-  EXPECT_GT(full.shipment_bytes, 2u * 3u * 4u * per_vec);
-  for (QVertexId v = 0; v < query.num_vertices(); ++v) {
+  EXPECT_LE(full.shipment_bytes, dense_bound(4));
+  for (QVertexId v = 0; v < n; ++v) {
     EXPECT_EQ(full.exchanged[v], query.vertex(v).is_variable);
   }
+  expect_sparse_reference(full, 0);
   SimulatedCluster replay_cluster(3);
   CandidateExchange replay = ExchangeInternalCandidates(
       partitioning, store_ptrs, rq, replay_cluster, legacy);

@@ -188,11 +188,17 @@ std::vector<WirePayload> BuildWireCorpus() {
       testing::EnumerateAllLpms(partitioning, rq);
   LecFeatureSet lec = ComputeLecFeatures(lpms);
 
-  FilterSet filters;
+  // A few ids per 256-bit vector ship as positions; hundreds fill it past
+  // the point where the dense words are smaller.
+  FilterSet sparse_filters;
+  FilterSet dense_filters;
   for (uint32_t v : {0u, 3u}) {
-    BitvectorFilter filter(256);
-    for (uint64_t id = v; id < 40; id += 3) filter.Insert(id);
-    filters.emplace_back(v, std::move(filter));
+    BitvectorFilter sparse(256);
+    BitvectorFilter dense(256);
+    for (uint64_t id = v; id < 40; id += 3) sparse.Insert(id);
+    for (uint64_t id = v; id < 400; ++id) dense.Insert(id);
+    sparse_filters.emplace_back(v, std::move(sparse));
+    dense_filters.emplace_back(v, std::move(dense));
   }
   std::vector<Binding> matches = {{1, 2, 3, kNullTerm, 5},
                                   {7, 7, kNullTerm, 9, 0}};
@@ -204,9 +210,15 @@ std::vector<WirePayload> BuildWireCorpus() {
   corpus.push_back(
       {"bitmap", EncodeBitmap({true, false, true, true, false}),
        [](const std::vector<uint8_t>& b) { return DecodeBitmap(b).ok(); }});
-  corpus.push_back(
-      {"filter_set", EncodeFilterSet(filters),
-       [](const std::vector<uint8_t>& b) { return DecodeFilterSet(b).ok(); }});
+  for (const auto& [name, set] :
+       {std::pair<const char*, const FilterSet*>{"filter_set_sparse",
+                                                 &sparse_filters},
+        {"filter_set_dense", &dense_filters}}) {
+    corpus.push_back({name, EncodeFilterSet(*set),
+                      [](const std::vector<uint8_t>& b) {
+                        return DecodeFilterSet(b).ok();
+                      }});
+  }
   corpus.push_back(
       {"match_batch", EncodeMatchBatch(lpms.size(), 5, matches),
        [](const std::vector<uint8_t>& b) { return DecodeMatchBatch(b).ok(); }});
@@ -289,6 +301,168 @@ TEST(WireCodecTest, RoundTripsPreserveEveryPayloadType) {
   auto done = DecodeDoneMarker(EncodeDoneMarker(7));
   ASSERT_TRUE(done.ok());
   EXPECT_EQ(*done, 7u);
+}
+
+// Byte offset of the first filter's tag: set count, var, bits.
+constexpr size_t kFirstFilterTag = 4 + 4 + 8;
+constexpr uint8_t kDenseTag = 0;
+constexpr uint8_t kSparseTag = 1;
+
+BitvectorFilter FilterWithPositions(size_t bits,
+                                    const std::vector<size_t>& positions) {
+  BitvectorFilter filter(bits);
+  for (size_t pos : positions) filter.SetPosition(pos);
+  return filter;
+}
+
+TEST(WireCodecTest, FilterFormsRoundTripWithinTheDenseBound) {
+  std::vector<size_t> first15;
+  std::vector<size_t> first16;
+  for (size_t pos = 0; pos < 16; ++pos) {
+    if (pos < 15) first15.push_back(pos);
+    first16.push_back(pos);
+  }
+  std::vector<size_t> all256(256);
+  for (size_t pos = 0; pos < 256; ++pos) all256[pos] = pos;
+  BitvectorFilter default_size;
+  for (uint64_t id = 0; id < 50; ++id) default_size.Insert(id * 7919);
+
+  // A 128-bit vector has a 16-byte dense body; positions 0..k-1 take one
+  // gap byte each, so 15 of them ship sparse and 16 tie, which dense wins.
+  struct Case {
+    const char* name;
+    BitvectorFilter filter;
+    uint8_t tag;
+  };
+  std::vector<Case> cases = {
+      {"empty", BitvectorFilter(256), kSparseTag},
+      {"single_bit", FilterWithPositions(256, {200}), kSparseTag},
+      {"one_bit_vector", FilterWithPositions(1, {0}), kSparseTag},
+      {"odd_length_last_bit", FilterWithPositions(100, {99}), kSparseTag},
+      {"boundary_sparse", FilterWithPositions(128, first15), kSparseTag},
+      {"boundary_tie", FilterWithPositions(128, first16), kDenseTag},
+      {"saturated", FilterWithPositions(256, all256), kDenseTag},
+      {"default_length", default_size, kSparseTag},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    FilterSet set = {{7, c.filter}};
+    std::vector<uint8_t> bytes = EncodeFilterSet(set);
+    ASSERT_GT(bytes.size(), kFirstFilterTag);
+    EXPECT_EQ(bytes[kFirstFilterTag], c.tag);
+    EXPECT_EQ(FilterSetPayloadBytes(set), bytes.size());
+    // One filter never ships more than its dense words plus the framing;
+    // a saturated one ships exactly that.
+    const size_t dense = 4 + kFilterFramingBytes + c.filter.ByteSize();
+    EXPECT_LE(bytes.size(), dense);
+    if (c.tag == kDenseTag) {
+      EXPECT_EQ(bytes.size(), dense);
+    }
+    auto decoded = DecodeFilterSet(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_EQ(decoded->size(), 1u);
+    EXPECT_EQ((*decoded)[0].first, 7u);
+    EXPECT_EQ((*decoded)[0].second.bits(), c.filter.bits());
+    EXPECT_EQ((*decoded)[0].second.words(), c.filter.words());
+  }
+
+  // A mixed set round-trips too.
+  FilterSet mixed;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    mixed.emplace_back(static_cast<QVertexId>(i), cases[i].filter);
+  }
+  std::vector<uint8_t> bytes = EncodeFilterSet(mixed);
+  EXPECT_EQ(FilterSetPayloadBytes(mixed), bytes.size());
+  EXPECT_EQ(FilterSetPayloadBytes({}), EncodeFilterSet({}).size());
+
+  // The codec sweeps below cover both wire forms.
+  for (const WirePayload& p : BuildWireCorpus()) {
+    if (p.name == "filter_set_sparse") {
+      EXPECT_EQ(p.bytes[kFirstFilterTag], kSparseTag);
+    }
+    if (p.name == "filter_set_dense") {
+      EXPECT_EQ(p.bytes[kFirstFilterTag], kDenseTag);
+    }
+  }
+  auto decoded = DecodeFilterSet(bytes);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->size(), mixed.size());
+  for (size_t i = 0; i < mixed.size(); ++i) {
+    EXPECT_EQ((*decoded)[i].first, mixed[i].first);
+    EXPECT_EQ((*decoded)[i].second.words(), mixed[i].second.words());
+  }
+}
+
+/// Little-endian helpers to hand-build filter-set payloads.
+void PutLe(std::vector<uint8_t>* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+void PutVarint(std::vector<uint8_t>* out, uint64_t v) {
+  for (; v >= 0x80; v >>= 7) out->push_back(static_cast<uint8_t>(v | 0x80));
+  out->push_back(static_cast<uint8_t>(v));
+}
+
+/// One-filter payload with the given header fields and raw gap varints.
+std::vector<uint8_t> SparsePayload(uint64_t bits, uint32_t count,
+                                   const std::vector<uint64_t>& gaps,
+                                   uint8_t tag = kSparseTag) {
+  std::vector<uint8_t> out;
+  PutLe(&out, 1, 4);     // filter count
+  PutLe(&out, 0, 4);     // var
+  PutLe(&out, bits, 8);  // bits
+  out.push_back(tag);
+  PutLe(&out, count, 4);
+  for (uint64_t gap : gaps) PutVarint(&out, gap);
+  return out;
+}
+
+TEST(WireCodecTest, MalformedSparseFiltersAreRejected) {
+  // The well-formed baseline decodes: positions 5, 6 and 255 of 256.
+  auto ok = DecodeFilterSet(SparsePayload(256, 3, {5, 1, 249}));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ((*ok)[0].second.words(),
+            FilterWithPositions(256, {5, 6, 255}).words());
+
+  // A repeated position is a zero gap after the first.
+  EXPECT_FALSE(DecodeFilterSet(SparsePayload(256, 2, {5, 0})).ok());
+  // Descending positions wrap the gap around 2^64 (or 2^32).
+  EXPECT_FALSE(
+      DecodeFilterSet(SparsePayload(256, 2, {5, ~uint64_t{0} - 1})).ok());
+  EXPECT_FALSE(DecodeFilterSet(SparsePayload(256, 2, {5, 0xFFFFFFFEu})).ok());
+  // A position at or past `bits`, first or later.
+  EXPECT_FALSE(DecodeFilterSet(SparsePayload(256, 1, {256})).ok());
+  EXPECT_FALSE(DecodeFilterSet(SparsePayload(256, 2, {5, 251})).ok());
+  // An unknown tag.
+  EXPECT_FALSE(DecodeFilterSet(SparsePayload(256, 0, {}, 2)).ok());
+  EXPECT_FALSE(DecodeFilterSet(SparsePayload(256, 0, {}, 0xFF)).ok());
+  // More positions than the remaining bytes can hold.
+  EXPECT_FALSE(DecodeFilterSet(SparsePayload(256, 1000, {1, 1, 1})).ok());
+  EXPECT_FALSE(
+      DecodeFilterSet(SparsePayload(256, 0xFFFFFFFFu, {1, 1, 1})).ok());
+  // A varint longer than 64 bits of value.
+  std::vector<uint8_t> overlong = SparsePayload(256, 1, {});
+  for (int i = 0; i < 10; ++i) overlong.push_back(0x80);
+  overlong.push_back(0x01);
+  EXPECT_FALSE(DecodeFilterSet(overlong).ok());
+
+  // Sparse filters may span 2^26 bits per payload in total, so a few bytes
+  // can never make the decoder allocate more than one longest vector.
+  std::vector<uint8_t> two;
+  PutLe(&two, 2, 4);
+  for (uint32_t var = 0; var < 2; ++var) {
+    PutLe(&two, var, 4);
+    PutLe(&two, uint64_t{1} << 25, 8);
+    two.push_back(kSparseTag);
+    PutLe(&two, 0, 4);
+  }
+  EXPECT_TRUE(DecodeFilterSet(two).ok());
+  std::vector<uint8_t> three = two;
+  three[0] = 3;
+  PutLe(&three, 2, 4);
+  PutLe(&three, 1, 8);
+  three.push_back(kSparseTag);
+  PutLe(&three, 0, 4);
+  EXPECT_FALSE(DecodeFilterSet(three).ok());
 }
 
 TEST(WireCodecTest, TruncatedAndExtendedPayloadsAreRejected) {
